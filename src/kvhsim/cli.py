@@ -159,7 +159,6 @@ class RunContext:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
         self.grid = PhaseGrid(
             cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, cfg.n_q, cfg.n_p, cfg.bc
         )
@@ -512,8 +511,12 @@ def run_command(args) -> int:
     ctx = RunContext(cfg)
     checks = cfg.checks or ("unitarity",)
     results = []
-    for name in checks:
-        results.extend(CHECKS[name](ctx))
+    try:
+        for name in checks:
+            results.extend(CHECKS[name](ctx))
+    except vonneumann.KernelError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
     # artifacts: snapshots + conserved-quantity log for wavefunction runs
     if ctx._trajectory is not None:

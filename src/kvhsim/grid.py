@@ -107,12 +107,6 @@ class PhaseGrid:
             k[self.n_p // 2] = 0.0
         return (1j * k)[None, :]
 
-    @cached_property
-    def _dealias_mask(self) -> np.ndarray:
-        kq = np.abs(np.fft.fftfreq(self.n_q, d=1.0)) <= 1.0 / 3.0
-        kp = np.abs(np.fft.fftfreq(self.n_p, d=1.0)) <= 1.0 / 3.0
-        return kq[:, None] & kp[None, :]
-
     # -- array-level operations ------------------------------------------
 
     def ddq(self, values: np.ndarray) -> np.ndarray:
@@ -129,12 +123,6 @@ class PhaseGrid:
 
     def integrate_values(self, values: np.ndarray) -> complex | float:
         return values.sum() * (self.dq * self.dp)
-
-    def dealias_values(self, values: np.ndarray) -> np.ndarray:
-        if self.bc != PERIODIC:
-            raise GridError("dealiasing requires periodic-spectral mode")
-        out = np.fft.ifft2(np.fft.fft2(values) * self._dealias_mask)
-        return out.real if np.isrealobj(values) else out
 
     def same_geometry(self, other: "PhaseGrid") -> bool:
         return (

@@ -55,10 +55,13 @@ class VNKernel:
     def casimir(self, n: int = 2) -> float:
         """Tr(Theta^n) with quadrature weights."""
         M = self.K * self.weight
-        out = np.eye(M.shape[0], dtype=complex)
-        for _ in range(n):
-            out = out @ M
-        return float(np.real(np.trace(out)))
+        if n < 2:
+            return float(np.real(np.trace(np.linalg.matrix_power(M, n))))
+        # Tr(P M) = sum(P * M.T): n - 2 matmuls for P = M^(n-1)
+        P = M
+        for _ in range(n - 2):
+            P = P @ M
+        return float(np.real(np.sum(P * M.T)))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the operator (weighted kernel matrix), sorted."""
@@ -164,6 +167,15 @@ def kernel_propagator(
     return U
 
 
+# closed-form kernel evolution is refused when kappa_1(V) * eps exceeds this
+_EIGENBASIS_ROUNDOFF_LIMIT = 1e-10
+
+
+def _rk4_stability(z: np.ndarray) -> np.ndarray:
+    """RK4 stability polynomial: one step of y' = lam y multiplies y by p(lam dt)."""
+    return 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+
+
 def evolve_kernel(
     theta0: VNKernel,
     H: HamiltonianSpec,
@@ -173,9 +185,20 @@ def evolve_kernel(
 ) -> VNKernel:
     """Evolve the kernel under iħ dTheta/dt = [L̂_H, Theta].
 
-    method "rk4" time-steps the dense commutator flow; method
-    "characteristics" conjugates by the backward-flow propagator in one
-    shot (dt then controls the flow integration only). The latter is the
+    method "rk4" returns the result of n classical RK4 steps of the dense
+    commutator flow dK/dt = A K - K A, A = -(i/ħ) L, with (n, dt) from
+    time_steps. It evaluates that discrete scheme in closed form rather
+    than stepping: with A V = V diag(lam), one step multiplies entry
+    (i, j) of V^-1 K V by p(dt (lam_i - lam_j)), where p is the RK4
+    stability polynomial, so K(t) = V [p^n * (V^-1 K0 V)] V^-1. The cost
+    is one eigendecomposition and four matmuls for any step count. The
+    eigenbasis amplifies roundoff by up to kappa_1(V) = |V|_1 |V^-1|_1,
+    so a KernelError is raised when kappa_1(V) * eps exceeds 1e-10 (FD4
+    grids with nonnormal one-sided stencils, e.g. the free Hamiltonian).
+    A dt beyond the RK4 stability limit raises RuntimeError.
+
+    method "characteristics" conjugates by the backward-flow propagator in
+    one shot (dt then controls the flow integration only). It is the
     accurate choice when the kernel carries mass at the box boundary,
     where one-sided transport stencils break down.
     """
@@ -184,22 +207,24 @@ def evolve_kernel(
         return VNKernel(theta0.grid, U @ theta0.K @ U.conj().T, theta0.hbar)
     if method != "rk4":
         raise ValueError(f"unknown kernel evolution method {method!r}")
-    L = prequantum_matrix(H, theta0.grid, theta0.hbar)
-    coeff = -1j / theta0.hbar
-
-    def rhs(K):
-        return coeff * (L @ K - K @ L)
-
-    K = theta0.K.astype(complex).copy()
+    A = (-1j / theta0.hbar) * prequantum_matrix(H, theta0.grid, theta0.hbar)
+    lam, V = np.linalg.eig(A)
+    V_inv = np.linalg.inv(V)
+    kappa = np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
+    if kappa * np.finfo(float).eps > _EIGENBASIS_ROUNDOFF_LIMIT:
+        raise KernelError(
+            f"Liouvillian eigenvectors are ill-conditioned (kappa_1 = {kappa:.2e}) "
+            f"on this grid; use method=\"characteristics\""
+        )
     n_steps, dt = time_steps(t_final, dt)
-    for step in range(n_steps):
-        k1 = rhs(K)
-        k2 = rhs(K + 0.5 * dt * k1)
-        k3 = rhs(K + 0.5 * dt * k2)
-        k4 = rhs(K + dt * k3)
-        K = K + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(K)):
-            raise RuntimeError(f"NaN in kernel evolution at step {step + 1}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = _rk4_stability(dt * (lam[:, None] - lam[None, :])) ** n_steps
+        K = V @ (gain * (V_inv @ theta0.K @ V)) @ V_inv
+    if not np.all(np.isfinite(K)):
+        raise RuntimeError(
+            f"non-finite kernel after {n_steps} RK4 steps: "
+            f"dt = {dt:.3g} exceeds the stability limit"
+        )
     return VNKernel(theta0.grid, K, theta0.hbar)
 
 

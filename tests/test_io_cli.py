@@ -208,6 +208,19 @@ class TestCommandLine:
         assert rc == 1
         assert "overall = fail" in (out / "report").read_text()
 
+    def test_kernel_error_is_one_line_usage_error(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[run]\nscenario = point-particle\nhamiltonian = free\nbc = fd4\n"
+            "checks = vonneumann\nt_final = 0.05\n[grid]\nn_q = 10\nn_p = 10\n"
+        )
+        rc = cli.main(["run", "--config", str(ini), "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "characteristics" in err
+
     def test_compare_identical_and_mismatched(self, tmp_path, capsys, grid, field):
         a = tmp_path / "a.kvhf"
         b = tmp_path / "b.kvhf"

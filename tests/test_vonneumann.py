@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kvhsim.grid import FD4, PhaseGrid, ScalarField
+from kvhsim.grid import FD4, PhaseGrid, ScalarField, time_steps
 from kvhsim.hamiltonian import scenario_hamiltonian
 from kvhsim.kvh import apply_prequantum, gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import HydroState, hydro_from_wavefunction
@@ -32,6 +32,28 @@ def centered_grid():
     # nodes symmetric under (q, p) -> (-p, q); see the quarter-turn tests
     h = 8.0 / 24
     return PhaseGrid(-4 + h / 2, 4 + h / 2, -4 + h / 2, 4 + h / 2, 24, 24, FD4)
+
+
+def small_grid(bc="periodic"):
+    return PhaseGrid(-4, 4, -4, 4, 10, 10, bc)
+
+
+def rk4_step_loop(theta0, H, t_final, dt):
+    """Reference: explicit RK4 time stepping of dK/dt = -(i/ħ)[L, K]."""
+    L = prequantum_matrix(H, theta0.grid, theta0.hbar)
+
+    def rhs(K):
+        return (-1j / theta0.hbar) * (L @ K - K @ L)
+
+    K = theta0.K.astype(complex)
+    n_steps, dt = time_steps(t_final, dt)
+    for _ in range(n_steps):
+        k1 = rhs(K)
+        k2 = rhs(K + 0.5 * dt * k1)
+        k3 = rhs(K + 0.5 * dt * k2)
+        k4 = rhs(K + dt * k3)
+        K = K + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return K
 
 
 def packet(g):
@@ -71,6 +93,15 @@ class TestKernelBasics:
         theta = kernel_from_wavefunction(packet(g))
         assert theta.casimir(2) == pytest.approx(1.0, abs=1e-10)
         assert theta.casimir(3) == pytest.approx(1.0, abs=1e-10)
+
+    def test_casimir_matches_matrix_power(self):
+        g = PhaseGrid(-4, 4, -4, 4, 3, 3)
+        rng = np.random.default_rng(11)
+        K = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        theta = VNKernel(g, K)
+        for n in range(1, 5):
+            ref = np.real(np.trace(np.linalg.matrix_power(K * theta.weight, n)))
+            assert theta.casimir(n) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 class TestOperatorDiscretization:
@@ -136,6 +167,34 @@ class TestEvolution:
         assert abs(theta_t.trace() - 1.0) < 1e-12
         assert abs(theta_t.casimir(2) - theta0.casimir(2)) < 1e-10
         assert theta_t.hermiticity_residual() < 1e-12
+
+    @pytest.mark.parametrize(
+        "name, bc",
+        [(h, "periodic") for h in ("harmonic", "free", "quartic", "pendulum")]
+        + [("harmonic", FD4)],
+    )
+    def test_closed_form_matches_step_loop(self, name, bc):
+        g = small_grid(bc)
+        H = scenario_hamiltonian(name)
+        theta0 = kernel_from_wavefunction(
+            gaussian_wavepacket(g, center=(0.5, 0.3), sigma=(0.9, 0.9))
+        )
+        theta_t = evolve_kernel(theta0, H, 0.1, 2e-3)
+        ref = rk4_step_loop(theta0, H, 0.1, 2e-3)
+        assert np.max(np.abs(theta_t.K - ref)) <= 1e-12
+
+    def test_ill_conditioned_eigenbasis_rejected(self):
+        # one-sided FD4 stencils make the free Liouvillian strongly nonnormal
+        g = small_grid(FD4)
+        theta0 = kernel_from_wavefunction(packet(g))
+        with pytest.raises(KernelError, match="characteristics"):
+            evolve_kernel(theta0, scenario_hamiltonian("free"), 0.1, 2e-3)
+
+    def test_unstable_dt_raises(self):
+        g = small_grid()
+        theta0 = kernel_from_wavefunction(packet(g))
+        with pytest.raises(RuntimeError):
+            evolve_kernel(theta0, scenario_hamiltonian("harmonic"), 50.0, 0.5)
 
     def test_unknown_method(self):
         g = coarse_grid()

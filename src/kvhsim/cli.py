@@ -500,6 +500,7 @@ def run_command(args) -> int:
         if overrides:
             cfg = replace(cfg, **overrides)
         cfg = apply_scenario_defaults(cfg)
+        ctx = RunContext(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -508,7 +509,6 @@ def run_command(args) -> int:
     outdir = root / (cfg.outdir or f"{cfg.scenario}-out")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    ctx = RunContext(cfg)
     checks = cfg.checks or ("unitarity",)
     results = []
     try:

@@ -15,11 +15,10 @@ import numpy as np
 
 from .grid import PhaseGrid, ScalarField, l2_norm
 from .hamiltonian import (
-    DomainExitError,
     HamiltonianSpec,
+    backward_characteristics,
     flow_jacobian,
     flow_with_action,
-    out_of_domain_mask,
 )
 from .kvh import WaveFunction, apply_prequantum, interpolate_field
 
@@ -44,18 +43,6 @@ class ContactTransform:
         """Forward flow map."""
         qf, pf, _ = flow_with_action(self.generator, self.time, q, p, self.flow_dt)
         return qf, pf
-
-    def eta_inv(self, q, p):
-        """Inverse map, computed as the reversed-time flow."""
-        qb, pb, _ = flow_with_action(self.generator, -self.time, q, p, self.flow_dt)
-        return qb, pb
-
-    def phase_field(self) -> ScalarField:
-        """phi on the grid: theta minus the forward action integral."""
-        _, _, action = flow_with_action(
-            self.generator, self.time, self.grid.Q, self.grid.P, self.flow_dt
-        )
-        return ScalarField(self.grid, self.theta - action)
 
     def jacobian_field(self) -> ScalarField:
         """Numerical Jacobian determinant of eta (should be 1)."""
@@ -110,12 +97,8 @@ def lift_hamiltonian_flow(
     """Lift the time-t flow of X_G to a strict contact transformation."""
     T = ContactTransform(G, t, theta, grid, flow_dt)
     if on_exit == "error":
-        # fail early if trajectories from grid nodes escape the box
-        qf, pf = T.eta(grid.Q, grid.P)
-        bad = out_of_domain_mask(grid, qf, pf)
-        if bad.any():
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise DomainExitError(f"flow from node {idx} left the domain")
+        # fail early if grid nodes leave the box (forward by t = backward by -t)
+        backward_characteristics(G, grid, -t, flow_dt, "error")
     return T
 
 
@@ -129,22 +112,13 @@ def apply_van_hove(
     provides both pieces. on_exit as in the characteristics oracle.
     """
     grid = psi.grid
-    q0, p0, action_back = flow_with_action(
-        T.generator, -T.time, grid.Q, grid.P, T.flow_dt
+    q0, p0, action_back, bad = backward_characteristics(
+        T.generator, grid, T.time, T.flow_dt, on_exit
     )
-    bad = out_of_domain_mask(grid, q0, p0)
-    if bad.any():
-        if on_exit != "zero":
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise DomainExitError(f"inverse flow from node {idx} left the domain")
-        q0 = np.where(bad, grid.q_min, q0)
-        p0 = np.where(bad, grid.p_min, p0)
-        action_back = np.where(bad, 0.0, action_back)
     values = np.exp(-1j * (T.theta + action_back) / psi.hbar) * interpolate_field(
         psi.field, q0, p0
     )
-    if bad.any():
-        values = np.where(bad, 0.0, values)
+    values = np.where(bad, 0.0, values)
     return WaveFunction(ScalarField(grid, values), psi.hbar)
 
 

@@ -35,19 +35,26 @@ def save_field(path, f: ScalarField) -> None:
         fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
 
 
-def load_field(path, bc: str = PERIODIC) -> ScalarField:
+def _read(path, payload_shape):
+    """Checked box and payload of a KVHF file; payload_shape(n_q, n_p) gives its shape."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
     magic, n_q, n_p, q_min, q_max, p_min, p_max = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
-    expected = _HEADER.size + 16 * n_q * n_p
+    shape = payload_shape(n_q, n_p)
+    expected = _HEADER.size + 16 * shape[0] * shape[1]
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(n_q, n_p)
-    grid = PhaseGrid(float(q_min), float(q_max), float(p_min), float(p_max), n_q, n_p, bc)
-    return ScalarField(grid, values.copy())
+    values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(shape)
+    box = (float(q_min), float(q_max), float(p_min), float(p_max), n_q, n_p)
+    return box, values.copy()
+
+
+def load_field(path, bc: str = PERIODIC) -> ScalarField:
+    box, values = _read(path, lambda n_q, n_p: (n_q, n_p))
+    return ScalarField(PhaseGrid(*box, bc), values)
 
 
 def headers_match(path_a, path_b) -> bool:
@@ -87,14 +94,8 @@ def save_kernel(path, grid: PhaseGrid, K: np.ndarray) -> None:
 
 
 def load_kernel(path):
-    raw = Path(path).read_bytes()
-    magic, n_q, n_p, q_min, q_max, p_min, p_max = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    n = n_q * n_p
-    K = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(n, n)
-    grid = PhaseGrid(float(q_min), float(q_max), float(p_min), float(p_max), n_q, n_p)
-    return grid, K.copy()
+    box, K = _read(path, lambda n_q, n_p: (n_q * n_p, n_q * n_p))
+    return PhaseGrid(*box), K
 
 
 def write_csv_log(path, columns: dict) -> None:

@@ -8,7 +8,7 @@ from either mode are directly comparable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -150,10 +150,6 @@ class ScalarField:
                 f"({self.grid.n_q}, {self.grid.n_p})"
             )
 
-    @property
-    def is_real(self) -> bool:
-        return np.isrealobj(self.values)
-
     def conj(self) -> "ScalarField":
         return ScalarField(self.grid, np.conj(self.values))
 
@@ -242,6 +238,25 @@ def time_steps(t_final: float, dt: float):
         return 0, dt
     n = max(1, int(round(t_final / dt)))
     return n, t_final / n
+
+
+def rk4_steps(rhs, state: tuple, dt: float, n_steps: int):
+    """Yield the state after each of n_steps RK4 steps of d(state)/dt = rhs(*state).
+
+    state is a tuple of arrays; the stage expressions keep one evaluation order,
+    so every solver rounds alike. Stages live until the next step replaces them:
+    freeing all four at once lets malloc trim the heap and fault it back in.
+    """
+    for _ in range(n_steps):
+        k1 = rhs(*state)
+        k2 = rhs(*(s + 0.5 * dt * k for s, k in zip(state, k1)))
+        k3 = rhs(*(s + 0.5 * dt * k for s, k in zip(state, k2)))
+        k4 = rhs(*(s + dt * k for s, k in zip(state, k3)))
+        state = tuple(
+            s + (dt / 6) * (a + 2 * b + 2 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+        )
+        yield state
 
 
 def l2_norm(f: ScalarField) -> float:

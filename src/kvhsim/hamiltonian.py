@@ -8,7 +8,7 @@ dependence on the field discretization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -200,14 +200,20 @@ class OneForm:
 
 def hamiltonian_vector_field(H: HamiltonianSpec, grid: PhaseGrid):
     """X_H = (dH/dp, -dH/dq) sampled on the grid."""
-    return (
-        ScalarField(grid, self_broadcast(H.h_p(grid.Q, grid.P), grid)),
-        ScalarField(grid, self_broadcast(-H.h_q(grid.Q, grid.P), grid)),
-    )
+    a, b, _ = coefficient_fields(H, grid)
+    return ScalarField(grid, b), ScalarField(grid, -a)
 
 
 def self_broadcast(values, grid: PhaseGrid) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=float), (grid.n_q, grid.n_p)).copy()
+
+
+def coefficient_fields(H: HamiltonianSpec, grid: PhaseGrid):
+    """(dH/dq, dH/dp, L_H) on the grid: the one sampler of transport coefficients."""
+    a = self_broadcast(H.h_q(grid.Q, grid.P), grid)
+    b = self_broadcast(H.h_p(grid.Q, grid.P), grid)
+    lh = self_broadcast(H.lagrangian(grid.Q, grid.P), grid)
+    return a, b, lh
 
 
 def phase_space_lagrangian(H: HamiltonianSpec, grid: PhaseGrid) -> ScalarField:
@@ -230,11 +236,11 @@ def jmap(a: OneForm):
 
 # -- flows -----------------------------------------------------------------
 
-def _rk4_step(H: HamiltonianSpec, q, p, a, h: float, with_action: bool):
+def _rk4_step(H: HamiltonianSpec, q, p, a, h: float):
     def rhs(q, p):
         dq = H.h_p(q, p)
         dp = -H.h_q(q, p)
-        da = H.lagrangian(q, p) if with_action else 0.0
+        da = H.lagrangian(q, p)
         return dq, dp, da
 
     k1 = rhs(q, p)
@@ -243,7 +249,7 @@ def _rk4_step(H: HamiltonianSpec, q, p, a, h: float, with_action: bool):
     k4 = rhs(q + h * k3[0], p + h * k3[1])
     q_new = q + (h / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     p_new = p + (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    a_new = a + (h / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) if with_action else a
+    a_new = a + (h / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
     return q_new, p_new, a_new
 
 
@@ -262,7 +268,7 @@ def flow_with_action(H: HamiltonianSpec, t: float, q0, p0, dt: float = 1e-3):
     h = t / n_steps
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            q, p, a = _rk4_step(H, q, p, a, h, with_action=True)
+            q, p, a = _rk4_step(H, q, p, a, h)
     return q, p, a
 
 
@@ -288,6 +294,30 @@ def out_of_domain_mask(grid: PhaseGrid, q, p) -> np.ndarray:
             | (p < grid.p_min - slack)
             | (p > grid.p_max + slack)
         )
+
+
+def backward_characteristics(H: HamiltonianSpec, grid: PhaseGrid, t: float, dt: float, on_exit: str):
+    """Flow every node back by t: (q0, p0, action of L_H, mask of exited nodes).
+
+    on_exit "error" raises DomainExitError with the `indices` of every exited
+    node; "zero" moves exited foot points to the box corner with zero action,
+    for callers that zero those nodes after interpolating.
+    """
+    if on_exit not in ("error", "zero"):
+        raise ValueError(f"unknown on_exit {on_exit!r}; choose 'error' or 'zero'")
+    q0, p0, action = flow_with_action(H, -t, grid.Q, grid.P, dt)
+    bad = out_of_domain_mask(grid, q0, p0)
+    if bad.any():
+        if on_exit == "error":
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise DomainExitError(
+                f"characteristic from node {idx} left the domain",
+                indices=np.argwhere(bad),
+            )
+        q0 = np.where(bad, grid.q_min, q0)
+        p0 = np.where(bad, grid.p_min, p0)
+        action = np.where(bad, 0.0, action)
+    return q0, p0, action, bad
 
 
 def flow_jacobian(H: HamiltonianSpec, t: float, q, p, dt: float = 1e-3, step: float = 1e-5):

@@ -3,8 +3,8 @@
 The covariant Liouvillian acting on a wavefunction is
     iħ {H, Ψ} - L_H Ψ,  L_H = p dH/dp - H,
 with the bracket term built from closed-form Hamiltonian partials and
-grid derivatives of Ψ. Time stepping is explicit (RK4 by default) on the
-full complex field; unitarity is monitored, not enforced.
+grid derivatives of Ψ. Time stepping is explicit RK4 on the full
+complex field; unitarity is monitored, not enforced.
 """
 
 from __future__ import annotations
@@ -22,18 +22,15 @@ from .grid import (
     ScalarField,
     integrate,
     l2_norm,
+    rk4_steps,
     time_steps,
 )
 from .hamiltonian import (
-    DomainExitError,
     HamiltonianSpec,
     PolynomialHamiltonian,
-    flow_with_action,
-    out_of_domain_mask,
-    self_broadcast,
+    backward_characteristics,
+    coefficient_fields,
 )
-
-SCHEMES = ("rk4", "midpoint")
 
 
 class EvolutionAborted(RuntimeError):
@@ -51,15 +48,12 @@ class WaveFunction:
 
     field: ScalarField
     hbar: float = 1.0
-    diagnostics: list = None
 
     def __post_init__(self):
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
         if self.field.values.dtype.kind != "c":
             self.field = ScalarField(self.field.grid, self.field.values.astype(complex))
-        if self.diagnostics is None:
-            self.diagnostics = []
 
     @property
     def grid(self) -> PhaseGrid:
@@ -69,7 +63,7 @@ class WaveFunction:
         return l2_norm(self.field)
 
     def copy(self) -> "WaveFunction":
-        return WaveFunction(self.field.copy(), self.hbar, list(self.diagnostics))
+        return WaveFunction(self.field.copy(), self.hbar)
 
 
 def gaussian_wavepacket(
@@ -126,34 +120,22 @@ def boundary_margin_fraction(psi: WaveFunction, threshold: float = 1e-10) -> flo
     return float(min(frac_q, frac_p))
 
 
-def _precompute(H: HamiltonianSpec, grid: PhaseGrid):
-    a = self_broadcast(H.h_q(grid.Q, grid.P), grid)
-    b = self_broadcast(H.h_p(grid.Q, grid.P), grid)
-    lh = self_broadcast(H.lagrangian(grid.Q, grid.P), grid)
-    return a, b, lh
-
-
-def apply_prequantum(H: HamiltonianSpec, psi: WaveFunction, margin: float = 0.1) -> WaveFunction:
+def apply_prequantum(H: HamiltonianSpec, psi: WaveFunction) -> WaveFunction:
     """Covariant Liouvillian: iħ {H, Ψ} - L_H Ψ."""
     grid = psi.grid
-    a, b, lh = _precompute(H, grid)
+    a, b, lh = coefficient_fields(H, grid)
     dpsi_q = grid.ddq(psi.field.values)
     dpsi_p = grid.ddp(psi.field.values)
     values = 1j * psi.hbar * (a * dpsi_p - b * dpsi_q) - lh * psi.field.values
-    out = WaveFunction(ScalarField(grid, values), psi.hbar)
-    if boundary_margin_fraction(psi) < margin:
-        out.diagnostics.append("support within boundary margin")
-    return out
+    return WaveFunction(ScalarField(grid, values), psi.hbar)
 
 
 def kvh_rhs(H: HamiltonianSpec, psi: WaveFunction) -> WaveFunction:
     """Right-hand side of the wavefunction transport: {H,Ψ} + (i/ħ) L_H Ψ."""
     lhpsi = apply_prequantum(H, psi)
-    out = WaveFunction(
+    return WaveFunction(
         ScalarField(psi.grid, (-1j / psi.hbar) * lhpsi.field.values), psi.hbar
     )
-    out.diagnostics = lhpsi.diagnostics
-    return out
 
 
 @dataclass
@@ -170,7 +152,7 @@ class Trajectory:
 
 
 def cfl_number(H: HamiltonianSpec, grid: PhaseGrid, dt: float) -> float:
-    a, b, _ = _precompute(H, grid)
+    a, b, _ = coefficient_fields(H, grid)
     speed = np.max(np.abs(b)) / grid.dq + np.max(np.abs(a)) / grid.dp
     return dt * speed
 
@@ -180,31 +162,30 @@ def evolve(
     psi0: WaveFunction,
     t_final: float,
     dt: float,
-    scheme: str = "rk4",
     stride: int = 0,
     record_energy: bool = True,
 ) -> Trajectory:
-    """Time-step the wavefunction transport equation.
+    """Time-step the wavefunction transport equation with classical RK4.
 
     stride: snapshot every `stride` steps (0 keeps only start and end).
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     grid = psi0.grid
     hbar = psi0.hbar
-    a, b, lh = _precompute(H, grid)
+    a, b, lh = coefficient_fields(H, grid)
     phase_rate = (1j / hbar) * lh
 
     def rhs(values):
+        # rk4_steps steps a tuple of fields; here the wavefunction is the only one
         return (
             a * grid.ddp(values)
             - b * grid.ddq(values)
-            + phase_rate * values
+            + phase_rate * values,
         )
 
-    if cfl_number(H, grid, dt) > 0.5:
+    cfl = cfl_number(H, grid, dt)
+    if cfl > 0.5:
         warnings.warn(
-            f"advisory CFL number {cfl_number(H, grid, dt):.2f} exceeds 0.5",
+            f"advisory CFL number {cfl:.2f} exceeds 0.5",
             RuntimeWarning,
         )
 
@@ -221,16 +202,7 @@ def evolve(
 
     traj = Trajectory(times=[], snapshots=[])
     snap(0.0, values)
-    for step in range(1, n_steps + 1):
-        if scheme == "rk4":
-            k1 = rhs(values)
-            k2 = rhs(values + 0.5 * dt * k1)
-            k3 = rhs(values + 0.5 * dt * k2)
-            k4 = rhs(values + dt * k3)
-            values = values + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        else:  # explicit midpoint
-            k1 = rhs(values)
-            values = values + dt * rhs(values + 0.5 * dt * k1)
+    for step, (values,) in enumerate(rk4_steps(rhs, (values,), dt, n_steps), start=1):
         if not np.all(np.isfinite(values)):
             raise EvolutionAborted(
                 f"NaN detected at step {step}", (step - 1) * dt, traj.final()
@@ -268,23 +240,11 @@ def characteristics_oracle(
     grid = psi0.grid
     if t == 0:
         return psi0.copy()
-    q0, p0, action_back = flow_with_action(H, -t, grid.Q, grid.P, dt)
-    bad = out_of_domain_mask(grid, q0, p0)
-    if bad.any():
-        if on_exit != "zero":
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise DomainExitError(
-                f"characteristic from node {idx} left the domain",
-                indices=np.argwhere(bad),
-            )
-        q0 = np.where(bad, grid.q_min, q0)
-        p0 = np.where(bad, grid.p_min, p0)
-        action_back = np.where(bad, 0.0, action_back)
+    q0, p0, action_back, bad = backward_characteristics(H, grid, t, dt, on_exit)
     values = np.exp(-1j * action_back / psi0.hbar) * interpolate_field(
         psi0.field, q0, p0
     )
-    if bad.any():
-        values = np.where(bad, 0.0, values)
+    values = np.where(bad, 0.0, values)
     return WaveFunction(ScalarField(grid, values), psi0.hbar)
 
 

@@ -9,23 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import ScalarField, time_steps
-from .hamiltonian import (
-    DomainExitError,
-    HamiltonianSpec,
-    flow_with_action,
-    out_of_domain_mask,
-    self_broadcast,
-)
+from .grid import PhaseGrid, ScalarField, rk4_steps, time_steps
+from .hamiltonian import HamiltonianSpec, backward_characteristics, coefficient_fields
 from .kvh import interpolate_field
+
+
+def _bracket_rhs(H: HamiltonianSpec, g: PhaseGrid):
+    """values -> ({H, values},) on g, with the coefficients sampled once."""
+    a, b, _ = coefficient_fields(H, g)
+
+    def rhs(values):
+        return (a * g.ddp(values) - b * g.ddq(values),)
+
+    return rhs
 
 
 def liouville_rhs(rho: ScalarField, H: HamiltonianSpec) -> ScalarField:
     """{H, rho} with closed-form Hamiltonian partials."""
-    g = rho.grid
-    a = self_broadcast(H.h_q(g.Q, g.P), g)
-    b = self_broadcast(H.h_p(g.Q, g.P), g)
-    return ScalarField(g, a * g.ddp(rho.values) - b * g.ddq(rho.values))
+    (drho,) = _bracket_rhs(H, rho.grid)(rho.values)
+    return ScalarField(rho.grid, drho)
 
 
 def evolve_pushforward(
@@ -41,19 +43,9 @@ def evolve_pushforward(
     g = rho0.grid
     if t == 0:
         return rho0.copy()
-    q0, p0, _ = flow_with_action(H, -t, g.Q, g.P, dt)
-    bad = out_of_domain_mask(g, q0, p0)
-    if bad.any():
-        if on_exit != "zero":
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise DomainExitError(
-                f"backward characteristic from node {idx} left the domain"
-            )
-        q0 = np.where(bad, g.q_min, q0)
-        p0 = np.where(bad, g.p_min, p0)
+    q0, p0, _, bad = backward_characteristics(H, g, t, dt, on_exit)
     values = interpolate_field(rho0, q0, p0)
-    if bad.any():
-        values = np.where(bad, 0.0, values)
+    values = np.where(bad, 0.0, values)
     return ScalarField(g, values)
 
 
@@ -62,18 +54,9 @@ def evolve_spectral(
 ) -> ScalarField:
     """RK4 cross-check for the semi-Lagrangian scheme."""
     g = rho0.grid
-    a = self_broadcast(H.h_q(g.Q, g.P), g)
-    b = self_broadcast(H.h_p(g.Q, g.P), g)
-
-    def rhs(values):
-        return a * g.ddp(values) - b * g.ddq(values)
-
-    values = rho0.values.astype(float).copy()
+    rhs = _bracket_rhs(H, g)
+    state = (rho0.values.astype(float).copy(),)
     n_steps, dt = time_steps(t_final, dt)
-    for _ in range(n_steps):
-        k1 = rhs(values)
-        k2 = rhs(values + 0.5 * dt * k1)
-        k3 = rhs(values + 0.5 * dt * k2)
-        k4 = rhs(values + dt * k3)
-        values = values + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return ScalarField(g, values)
+    for state in rk4_steps(rhs, state, dt, n_steps):
+        pass
+    return ScalarField(g, state[0])

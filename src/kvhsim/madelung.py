@@ -16,14 +16,15 @@ from .grid import (
     PhaseGrid,
     ScalarField,
     divergence,
-    integrate,
     poisson_bracket,
+    rk4_steps,
     time_steps,
 )
 from .hamiltonian import (
     HamiltonianSpec,
     OneForm,
     canonical_one_form,
+    coefficient_fields,
     jmap,
     self_broadcast,
 )
@@ -164,61 +165,59 @@ class MaskedPhaseError(ValueError):
     """Operation requires a globally defined smooth phase."""
 
 
-def madelung_rhs(pair: PolarPair, H: HamiltonianSpec):
-    """Polar-variable transport: dS/dt = L_H - {S,H}, dD/dt = -{D,H}."""
+def _polar_rhs(pair: PolarPair, H: HamiltonianSpec):
+    """(S, D) -> (dS/dt, dD/dt) on the pair's grid, coefficients sampled once."""
     if pair.mask is not None:
         raise MaskedPhaseError("masked polar decomposition not accepted; supply smooth S")
     g = pair.S.grid
-    a = self_broadcast(H.h_q(g.Q, g.P), g)
-    b = self_broadcast(H.h_p(g.Q, g.P), g)
-    lh = self_broadcast(H.lagrangian(g.Q, g.P), g)
-    # {f,H} with closed-form H partials: dq(f) b - dp(f) a
-    bracket_S = g.ddq(pair.S.values) * b - g.ddp(pair.S.values) * a
-    bracket_D = g.ddq(pair.D.values) * b - g.ddp(pair.D.values) * a
-    return ScalarField(g, lh - bracket_S), ScalarField(g, -bracket_D)
+    a, b, lh = coefficient_fields(H, g)
+
+    def rhs(S, D):
+        # {f,H} with closed-form H partials: dq(f) b - dp(f) a
+        bracket_S = g.ddq(S) * b - g.ddp(S) * a
+        bracket_D = g.ddq(D) * b - g.ddp(D) * a
+        return lh - bracket_S, -bracket_D
+
+    return rhs
+
+
+def madelung_rhs(pair: PolarPair, H: HamiltonianSpec):
+    """Polar-variable transport: dS/dt = L_H - {S,H}, dD/dt = -{D,H}."""
+    g = pair.S.grid
+    dS, dD = _polar_rhs(pair, H)(pair.S.values, pair.D.values)
+    return ScalarField(g, dS), ScalarField(g, dD)
 
 
 def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float, stride: int = 0):
-    """RK4 evolution of the polar system; returns (times, snapshots)."""
+    """RK4 evolution of an unmasked polar pair; returns (times, snapshots)."""
+    rhs = _polar_rhs(pair, H)
     g = pair.S.grid
     S = pair.S.values.astype(float).copy()
     D = pair.D.values.astype(float).copy()
-
-    def rhs(S, D):
-        dS, dD = madelung_rhs(
-            PolarPair(ScalarField(g, S), ScalarField(g, D)), H
-        )
-        return dS.values, dD.values
-
     n_steps, dt = time_steps(t_final, dt)
     times = [0.0]
     snaps = [PolarPair(ScalarField(g, S.copy()), ScalarField(g, D.copy()))]
-    for step in range(1, n_steps + 1):
-        k1 = rhs(S, D)
-        k2 = rhs(S + 0.5 * dt * k1[0], D + 0.5 * dt * k1[1])
-        k3 = rhs(S + 0.5 * dt * k2[0], D + 0.5 * dt * k2[1])
-        k4 = rhs(S + dt * k3[0], D + dt * k3[1])
-        S = S + (dt / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        D = D + (dt / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    for step, (S, D) in enumerate(rk4_steps(rhs, (S, D), dt, n_steps), start=1):
         if (stride and step % stride == 0) or step == n_steps:
             times.append(step * dt)
             snaps.append(PolarPair(ScalarField(g, S.copy()), ScalarField(g, D.copy())))
     return times, snaps
 
 
-def _require_second_partials(H: HamiltonianSpec) -> None:
+def _lie_coefficients(H: HamiltonianSpec, g: PhaseGrid):
+    """X_H = (Xq, Xp) and the second partials (h_qq, h_qp, h_pp) on the grid."""
     if H.h_qq is None or H.h_qp is None or H.h_pp is None:
         raise ValueError(f"{H.name}: second partials required for Lie-derivative transport")
-
-
-def _lie_derivative_one_form(tau_q, tau_p, H: HamiltonianSpec, g: PhaseGrid):
-    """Coordinate formula (£_X tau)_i = X·grad(tau_i) + tau_j d_i X^j for X = X_H."""
-    _require_second_partials(H)
-    Xq = self_broadcast(H.h_p(g.Q, g.P), g)
-    Xp = self_broadcast(-H.h_q(g.Q, g.P), g)
+    a, b, _ = coefficient_fields(H, g)
     h_qq = self_broadcast(H.h_qq(g.Q, g.P), g)
     h_qp = self_broadcast(H.h_qp(g.Q, g.P), g)
     h_pp = self_broadcast(H.h_pp(g.Q, g.P), g)
+    return b, -a, h_qq, h_qp, h_pp
+
+
+def _lie_derivative_one_form(tau_q, tau_p, coeffs, g: PhaseGrid):
+    """Coordinate formula (£_X tau)_i = X·grad(tau_i) + tau_j d_i X^j for X = X_H."""
+    Xq, Xp, h_qq, h_qp, h_pp = coeffs
     lie_q = (
         Xq * g.ddq(tau_q)
         + Xp * g.ddp(tau_q)
@@ -250,17 +249,39 @@ def one_form_transport_residual(snapshots, times, H: HamiltonianSpec):
         tau_q = g.ddq(pair.S.values) - g.P
         tau_p = g.ddp(pair.S.values)
         taus.append((tau_q, tau_p))
+    coeffs = _lie_coefficients(H, g)
     out = []
     for k in range(1, len(snapshots) - 1):
         dt_c = times[k + 1] - times[k - 1]
         dtau_q = (taus[k + 1][0] - taus[k - 1][0]) / dt_c
         dtau_p = (taus[k + 1][1] - taus[k - 1][1]) / dt_c
-        lie_q, lie_p = _lie_derivative_one_form(taus[k][0], taus[k][1], H, g)
+        lie_q, lie_p = _lie_derivative_one_form(taus[k][0], taus[k][1], coeffs, g)
         res = np.sqrt(
             ((dtau_q + lie_q) ** 2 + (dtau_p + lie_p) ** 2).sum() * g.dq * g.dp
         )
         out.append(float(res))
     return out
+
+
+def _hydro_rhs(H: HamiltonianSpec, g: PhaseGrid):
+    """(sigma_q, sigma_p, D) -> their time derivatives, coefficients sampled once."""
+    coeffs = _lie_coefficients(H, g)
+    Xq, Xp = coeffs[:2]
+
+    def rhs(sq, sp, D):
+        tau_q = sq - D * g.P
+        tau_p = sp
+        lie_q, lie_p = _lie_derivative_one_form(tau_q, tau_p, coeffs, g)
+        dD = -(g.ddq(D * Xq) + g.ddp(D * Xp))
+        dsigma_q = -lie_q + dD * g.P
+        dsigma_p = -lie_p
+        return dsigma_q, dsigma_p, dD
+
+    return rhs
+
+
+def _pack_hydro(g: PhaseGrid, sq, sp, D) -> HydroState:
+    return HydroState(OneForm(ScalarField(g, sq), ScalarField(g, sp)), ScalarField(g, D))
 
 
 def hydro_rhs(h: HydroState, H: HamiltonianSpec) -> HydroState:
@@ -269,57 +290,29 @@ def hydro_rhs(h: HydroState, H: HamiltonianSpec) -> HydroState:
     Returns the time derivative assembled back in (sigma, D) variables.
     """
     g = h.grid
-    _require_second_partials(H)
-    tau_q = h.sigma.a_q.values - h.D.values * g.P
-    tau_p = h.sigma.a_p.values.copy()
-    lie_q, lie_p = _lie_derivative_one_form(tau_q, tau_p, H, g)
-    Xq = self_broadcast(H.h_p(g.Q, g.P), g)
-    Xp = self_broadcast(-H.h_q(g.Q, g.P), g)
-    dD = -(g.ddq(h.D.values * Xq) + g.ddp(h.D.values * Xp))
-    dsigma_q = -lie_q + dD * g.P
-    dsigma_p = -lie_p
-    return HydroState(
-        OneForm(ScalarField(g, dsigma_q), ScalarField(g, dsigma_p)),
-        ScalarField(g, dD),
-    )
+    rhs = _hydro_rhs(H, g)
+    return _pack_hydro(g, *rhs(h.sigma.a_q.values, h.sigma.a_p.values, h.D.values))
 
 
 def evolve_hydro(h0: HydroState, H: HamiltonianSpec, t_final: float, dt: float) -> HydroState:
     """RK4 time stepping of hydro_rhs."""
     g = h0.grid
+    rhs = _hydro_rhs(H, g)
     state = (
         h0.sigma.a_q.values.astype(float).copy(),
         h0.sigma.a_p.values.astype(float).copy(),
         h0.D.values.astype(float).copy(),
     )
-
-    def pack(sq, sp, D):
-        return HydroState(
-            OneForm(ScalarField(g, sq), ScalarField(g, sp)), ScalarField(g, D)
-        )
-
-    def rhs(sq, sp, D):
-        d = hydro_rhs(pack(sq, sp, D), H)
-        return d.sigma.a_q.values, d.sigma.a_p.values, d.D.values
-
     n_steps, dt = time_steps(t_final, dt)
-    for _ in range(n_steps):
-        k1 = rhs(*state)
-        k2 = rhs(*(s + 0.5 * dt * k for s, k in zip(state, k1)))
-        k3 = rhs(*(s + 0.5 * dt * k for s, k in zip(state, k2)))
-        k4 = rhs(*(s + dt * k for s, k in zip(state, k3)))
-        state = tuple(
-            s + (dt / 6) * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-    return pack(*state)
+    for state in rk4_steps(rhs, state, dt, n_steps):
+        pass
+    return _pack_hydro(g, *state)
 
 
 def hydro_energy(h: HydroState, H: HamiltonianSpec) -> float:
     """h(sigma, D) = integral of (X_H · sigma - D L_H)."""
     g = h.grid
-    Xq = self_broadcast(H.h_p(g.Q, g.P), g)
-    Xp = self_broadcast(-H.h_q(g.Q, g.P), g)
-    lh = self_broadcast(H.lagrangian(g.Q, g.P), g)
+    a, b, lh = coefficient_fields(H, g)
+    Xq, Xp = b, -a
     integrand = Xq * h.sigma.a_q.values + Xp * h.sigma.a_p.values - h.D.values * lh
     return float(np.real(g.integrate_values(integrand)))

@@ -17,9 +17,8 @@ from .grid import PERIODIC, PhaseGrid, ScalarField, time_steps
 from .hamiltonian import (
     HamiltonianSpec,
     OneForm,
-    flow_with_action,
-    out_of_domain_mask,
-    self_broadcast,
+    backward_characteristics,
+    coefficient_fields,
 )
 from .kvh import WaveFunction, interpolate_field
 from .madelung import HydroState
@@ -130,9 +129,7 @@ def kernel_from_wavefunction(psi: WaveFunction, tol: float = 1e-8) -> VNKernel:
 def prequantum_matrix(H: HamiltonianSpec, grid: PhaseGrid, hbar: float = 1.0) -> np.ndarray:
     """Dense discretization of iħ{H, ·} - L_H on flattened fields."""
     Dq, Dp = derivative_matrices(grid)
-    a = _flatten(self_broadcast(H.h_q(grid.Q, grid.P), grid))
-    b = _flatten(self_broadcast(H.h_p(grid.Q, grid.P), grid))
-    lh = _flatten(self_broadcast(H.lagrangian(grid.Q, grid.P), grid))
+    a, b, lh = (_flatten(c) for c in coefficient_fields(H, grid))
     return 1j * hbar * (a[:, None] * Dp - b[:, None] * Dq) - np.diag(lh)
 
 
@@ -146,12 +143,7 @@ def kernel_propagator(
     characteristic leaves the box get zero rows, which is only valid for
     kernels supported away from the outflow region at the chosen horizon.
     """
-    q0, p0, aback = flow_with_action(H, -t, grid.Q, grid.P, dt)
-    bad = out_of_domain_mask(grid, q0, p0)
-    if bad.any():
-        q0 = np.where(bad, grid.q_min, q0)
-        p0 = np.where(bad, grid.p_min, p0)
-        aback = np.where(bad, 0.0, aback)
+    q0, p0, aback, bad = backward_characteristics(H, grid, t, dt, "zero")
     phase = np.exp(-1j * aback / hbar)
     n = grid.n_q * grid.n_p
     U = np.empty((n, n), dtype=complex)
@@ -162,8 +154,7 @@ def kernel_propagator(
         col = interpolate_field(ScalarField(grid, basis), q0, p0)
         U[:, j] = (phase * col).reshape(-1)
         flat[j] = 0.0
-    if bad.any():
-        U[bad.reshape(-1), :] = 0.0
+    U[bad.reshape(-1), :] = 0.0
     return U
 
 

@@ -21,6 +21,7 @@ from kvhsim.grid import (
     partial_p,
     partial_q,
     poisson_bracket,
+    rk4_steps,
     time_steps,
 )
 
@@ -168,3 +169,23 @@ class TestTimeSteps:
         n, adj = time_steps(t, dt)
         assert n >= 1
         assert math.isclose(n * adj, t, rel_tol=1e-12)
+
+
+class TestRK4Steps:
+    def test_linear_growth_factor_is_the_stability_polynomial(self):
+        lam = np.array([-1.0, 2j, -0.5 + 3j, 1.5 - 0.7j])
+        dt, n = 0.05, 40
+        z = lam * dt
+        p = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        states = list(rk4_steps(lambda y: (lam * y,), (np.ones(4, dtype=complex),), dt, n))
+        assert len(states) == n
+        np.testing.assert_allclose(states[-1][0], p**n, rtol=1e-13, atol=0)
+
+    def test_two_component_state_is_fourth_order(self):
+        # oscillator x' = v, v' = -x from (1, 0): exact (cos t, -sin t) at t = 1
+        def error(dt):
+            start = (np.array([1.0]), np.array([0.0]))
+            *_, (x, v) = rk4_steps(lambda x, v: (v, -x), start, dt, round(1.0 / dt))
+            return max(abs(x[0] - math.cos(1.0)), abs(v[0] + math.sin(1.0)))
+
+        assert error(0.1) / error(0.05) >= 12

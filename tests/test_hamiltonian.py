@@ -10,6 +10,7 @@ from kvhsim.hamiltonian import (
     HamiltonianError,
     HamiltonianSpec,
     OneForm,
+    backward_characteristics,
     canonical_one_form,
     constant_hamiltonian,
     flow_jacobian,
@@ -175,3 +176,8 @@ class TestDomainMask:
     def test_boundary_grazing_roundoff_kept(self):
         g = PhaseGrid(-1, 1, -1, 1, 8, 8)
         assert not out_of_domain_mask(g, np.array([-1.0 - 1e-13]), np.array([0.0]))[0]
+
+    def test_backward_characteristics_rejects_unknown_on_exit(self):
+        g = PhaseGrid(-1, 1, -1, 1, 8, 8)
+        with pytest.raises(ValueError, match="on_exit"):
+            backward_characteristics(scenario_hamiltonian("harmonic"), g, 0.1, 1e-2, "Zero")

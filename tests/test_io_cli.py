@@ -108,6 +108,20 @@ class TestKernelFormat:
         with pytest.raises(FormatError):
             load_kernel(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "k.kvhk"
+        path.write_bytes(b"KVHF" + b"\x00" * 6)
+        with pytest.raises(FormatError, match="header"):
+            load_kernel(path)
+
+    def test_truncated_payload(self, tmp_path):
+        g = PhaseGrid(-4, 4, -4, 4, 6, 6)
+        path = tmp_path / "k.kvhk"
+        save_kernel(path, g, np.eye(36, dtype=complex))
+        path.write_bytes(path.read_bytes()[:32 + 100])
+        with pytest.raises(FormatError, match="expected"):
+            load_kernel(path)
+
 
 class TestConfigParsing:
     def test_sections_and_overrides(self, tmp_path):
@@ -207,6 +221,24 @@ class TestCommandLine:
         rc = cli.main(["run", "--config", str(ini), "--outdir", str(out)])
         assert rc == 1
         assert "overall = fail" in (out / "report").read_text()
+
+    @pytest.mark.parametrize(
+        "run_lines, grid_lines",
+        [("bc = bogus", ""), ("hamiltonian = nosuch", ""), ("", "q_min = 2\nq_max = -2")],
+        ids=["bc", "hamiltonian", "bounds"],
+    )
+    def test_late_config_error_is_one_line_usage_error(self, tmp_path, capsys, run_lines, grid_lines):
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[run]\nscenario = free-kvh\nchecks = unitarity\n{run_lines}\n[grid]\n{grid_lines}\n"
+        )
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--config", str(ini), "--outdir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_kernel_error_is_one_line_usage_error(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"

@@ -127,15 +127,6 @@ class TestEvolution:
         traj = evolve(H, psi, 0.1, 1e-2, stride=5, record_energy=False)
         assert traj.times == pytest.approx([0.0, 0.05, 0.1])
 
-    def test_unknown_scheme(self, psi):
-        with pytest.raises(ValueError):
-            evolve(scenario_hamiltonian("free"), psi, 0.1, 1e-2, scheme="verlet")
-
-    def test_midpoint_scheme_runs(self, psi):
-        H = scenario_hamiltonian("free")
-        traj = evolve(H, psi, 0.05, 1e-3, scheme="midpoint", record_energy=False)
-        assert abs(traj.norms[-1] - 1.0) < 1e-6
-
     def test_cfl_warning(self, grid, psi):
         H = scenario_hamiltonian("harmonic")
         with pytest.warns(RuntimeWarning):

@@ -88,6 +88,13 @@ class TestPolarDecomposition:
         with pytest.raises(MaskedPhaseError):
             madelung_rhs(pair, scenario_hamiltonian("harmonic"))
 
+    def test_masked_phase_rejected_by_evolve_polar(self):
+        psi = gaussian_wavepacket(PhaseGrid(-8, 8, -8, 8, 48, 48, FD4), sigma=(0.5, 0.5))
+        pair = polar_decompose(psi)
+        assert pair.mask is not None
+        with pytest.raises(MaskedPhaseError):
+            evolve_polar(pair, scenario_hamiltonian("harmonic"), 0.01, 1e-3)
+
 
 class TestPolarEvolution:
     def test_density_mass_conserved(self):

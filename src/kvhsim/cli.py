@@ -147,13 +147,6 @@ SCENARIOS = {
 }
 
 
-def scenario_defaults(name: str) -> dict:
-    try:
-        return dict(SCENARIOS[name])
-    except KeyError:
-        raise ConfigError(f"unknown scenario {name!r}") from None
-
-
 class RunContext:
     """Shared, lazily computed objects for the checks of one run."""
 
@@ -448,7 +441,7 @@ def load_config(path) -> RunConfig:
 
 def apply_scenario_defaults(cfg: RunConfig) -> RunConfig:
     """Fill unset fields from the scenario table (explicit config wins)."""
-    defaults = scenario_defaults(cfg.scenario)
+    defaults = SCENARIOS[cfg.scenario]  # RunConfig rejects an unknown scenario
     updates = {}
     if not cfg.hamiltonian and not cfg.poly_coeffs:
         updates["hamiltonian"] = defaults["hamiltonian"]

@@ -17,10 +17,11 @@ from .grid import PhaseGrid, ScalarField, l2_norm
 from .hamiltonian import (
     HamiltonianSpec,
     backward_characteristics,
+    central_gradient,
     flow_jacobian,
     flow_with_action,
 )
-from .kvh import WaveFunction, apply_prequantum, interpolate_field
+from .kvh import WaveFunction, _prequantum, apply_prequantum, characteristics_oracle
 
 
 @dataclass
@@ -59,24 +60,19 @@ class ContactTransform:
     def connection_residual(self) -> float:
         """L2 residual of the membership condition eta*A + dphi = A."""
         g = self.grid
-        step = 1e-5
-        # pullback (eta*A)_i = p(eta(z)) * d eta_q / d z_i
-        qc, pc = self.eta(g.Q, g.P)
-        qq, _ = self.eta(g.Q + step, g.P)
-        qm, _ = self.eta(g.Q - step, g.P)
-        qp_, _ = self.eta(g.Q, g.P + step)
-        qpm, _ = self.eta(g.Q, g.P - step)
-        pull_q = pc * (qq - qm) / (2 * step)
-        pull_p = pc * (qp_ - qpm) / (2 * step)
-        # dphi by the same off-grid finite differences of the action
-        def phi(q, p):
-            _, _, action = flow_with_action(self.generator, self.time, q, p, self.flow_dt)
-            return self.theta - action
+        _, pc = self.eta(g.Q, g.P)
 
-        dphi_q = (phi(g.Q + step, g.P) - phi(g.Q - step, g.P)) / (2 * step)
-        dphi_p = (phi(g.Q, g.P + step) - phi(g.Q, g.P - step)) / (2 * step)
-        res_q = pull_q + dphi_q - g.P
-        res_p = pull_p + dphi_p
+        def eta_q_and_action(q, p):
+            qf, _, action = flow_with_action(self.generator, self.time, q, p, self.flow_dt)
+            return qf, action
+
+        # one flow per displaced node set serves both off-grid central differences
+        (deta_q, daction_q), (deta_p, daction_p) = central_gradient(
+            eta_q_and_action, g.Q, g.P, 1e-5
+        )
+        # pullback (eta*A)_i = p(eta(z)) * d eta_q / d z_i; phi = theta - action
+        res_q = pc * deta_q - daction_q - g.P
+        res_p = pc * deta_p - daction_p
         return float(
             np.sqrt(
                 np.real(
@@ -108,27 +104,22 @@ def apply_van_hove(
     """Unitary action: U Ψ(z) = exp(-i phi(η⁻¹ z)/ħ) Ψ(η⁻¹ z).
 
     phi evaluated at η⁻¹(z) equals theta plus the action accumulated on
-    the backward trajectory, so a single backward integration per node
-    provides both pieces. on_exit as in the characteristics oracle.
+    the backward trajectory, so U is the characteristics oracle of the
+    generator at the lift's time, times exp(-i theta/ħ). on_exit as in
+    the characteristics oracle.
     """
-    grid = psi.grid
-    q0, p0, action_back, bad = backward_characteristics(
-        T.generator, grid, T.time, T.flow_dt, on_exit
-    )
-    values = np.exp(-1j * (T.theta + action_back) / psi.hbar) * interpolate_field(
-        psi.field, q0, p0
-    )
-    values = np.where(bad, 0.0, values)
-    return WaveFunction(ScalarField(grid, values), psi.hbar)
+    moved = characteristics_oracle(T.generator, psi, T.time, T.flow_dt, on_exit)
+    values = np.exp(-1j * T.theta / psi.hbar) * moved.field.values
+    return WaveFunction(ScalarField(psi.grid, values), psi.hbar)
 
 
 def _composed_prequantum(
-    T: ContactTransform, H: HamiltonianSpec, psi: WaveFunction, step: float = 1e-4
+    T: ContactTransform, H: HamiltonianSpec, psi: WaveFunction
 ) -> WaveFunction:
     """Apply the prequantum operator of H∘η, built numerically.
 
     H∘η and its partials are sampled by flowing slightly displaced node
-    sets and central-differencing the composed scalar.
+    sets and central-differencing the composed scalar with step 1e-4.
     """
     g = psi.grid
 
@@ -137,15 +128,8 @@ def _composed_prequantum(
         return H.h(qf, pf)
 
     hc = h_eta(g.Q, g.P)
-    dh_q = (h_eta(g.Q + step, g.P) - h_eta(g.Q - step, g.P)) / (2 * step)
-    dh_p = (h_eta(g.Q, g.P + step) - h_eta(g.Q, g.P - step)) / (2 * step)
-    lagrangian = g.P * dh_p - hc
-    dpsi_q = g.ddq(psi.field.values)
-    dpsi_p = g.ddp(psi.field.values)
-    values = (
-        1j * psi.hbar * (dh_q * dpsi_p - dh_p * dpsi_q) - lagrangian * psi.field.values
-    )
-    return WaveFunction(ScalarField(g, values), psi.hbar)
+    dh_q, dh_p = central_gradient(h_eta, g.Q, g.P, 1e-4)
+    return _prequantum(psi, dh_q, dh_p, g.P * dh_p - hc)
 
 
 def equivariance_residual(

@@ -25,14 +25,18 @@ class FormatError(ValueError):
     pass
 
 
-def save_field(path, f: ScalarField) -> None:
-    g = f.grid
+def _write(path, grid: PhaseGrid, values) -> None:
+    """Header of grid's box, then values as little-endian complex128; read back by _read."""
     header = _HEADER.pack(
-        MAGIC, g.n_q, g.n_p, g.q_min, g.q_max, g.p_min, g.p_max
+        MAGIC, grid.n_q, grid.n_p, grid.q_min, grid.q_max, grid.p_min, grid.p_max
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
+
+
+def save_field(path, f: ScalarField) -> None:
+    _write(path, f.grid, f.values)
 
 
 def _read(path, payload_shape):
@@ -85,12 +89,7 @@ def load_field_csv(path, grid: PhaseGrid) -> ScalarField:
 
 
 def save_kernel(path, grid: PhaseGrid, K: np.ndarray) -> None:
-    header = _HEADER.pack(
-        MAGIC, grid.n_q, grid.n_p, grid.q_min, grid.q_max, grid.p_min, grid.p_max
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(K, dtype="<c16").tobytes())
+    _write(path, grid, K)
 
 
 def load_kernel(path):

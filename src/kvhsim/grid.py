@@ -29,6 +29,17 @@ class NonFiniteFieldError(GridError):
     """Field contains NaN or Inf values."""
 
 
+def spectral_ik(n: int, spacing: float) -> np.ndarray:
+    """i k of the n-point DFT at the given spacing, for spectral derivatives.
+
+    The Nyquist mode of an even n is zeroed: its derivative is not resolved.
+    """
+    k = 2 * np.pi * np.fft.fftfreq(n, d=spacing)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    return 1j * k
+
+
 def _fd4_1d(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """4th-order finite difference along `axis`, one-sided at the edges."""
     v = np.moveaxis(values, axis, 0)
@@ -95,17 +106,11 @@ class PhaseGrid:
 
     @cached_property
     def _ikq(self) -> np.ndarray:
-        k = 2 * np.pi * np.fft.fftfreq(self.n_q, d=self.dq)
-        if self.n_q % 2 == 0:
-            k[self.n_q // 2] = 0.0  # drop the Nyquist mode in the derivative
-        return (1j * k)[:, None]
+        return spectral_ik(self.n_q, self.dq)[:, None]
 
     @cached_property
     def _ikp(self) -> np.ndarray:
-        k = 2 * np.pi * np.fft.fftfreq(self.n_p, d=self.dp)
-        if self.n_p % 2 == 0:
-            k[self.n_p // 2] = 0.0
-        return (1j * k)[None, :]
+        return spectral_ik(self.n_p, self.dp)[None, :]
 
     # -- array-level operations ------------------------------------------
 

@@ -106,28 +106,18 @@ def symplectic_form(psi1: WaveFunction, psi2: WaveFunction) -> float:
     return 2.0 * psi1.hbar * hermitian_inner(psi1, psi2).imag
 
 
-def boundary_margin_fraction(psi: WaveFunction, threshold: float = 1e-10) -> float:
-    """Smallest distance (as a fraction of domain width) from significant
-    support to the box boundary, per side minimum."""
-    g = psi.grid
-    mass = np.abs(psi.field.values) ** 2
-    significant = mass > threshold * mass.max()
-    if not significant.any():
-        return 0.5
-    iq, ip = np.where(significant)
-    frac_q = min(iq.min(), g.n_q - 1 - iq.max()) / g.n_q
-    frac_p = min(ip.min(), g.n_p - 1 - ip.max()) / g.n_p
-    return float(min(frac_q, frac_p))
-
-
-def apply_prequantum(H: HamiltonianSpec, psi: WaveFunction) -> WaveFunction:
-    """Covariant Liouvillian: iħ {H, Ψ} - L_H Ψ."""
+def _prequantum(psi: WaveFunction, a, b, lh) -> WaveFunction:
+    """iħ (a ∂_pΨ - b ∂_qΨ) - L Ψ, for a = dH/dq, b = dH/dp and L = L_H on the grid."""
     grid = psi.grid
-    a, b, lh = coefficient_fields(H, grid)
     dpsi_q = grid.ddq(psi.field.values)
     dpsi_p = grid.ddp(psi.field.values)
     values = 1j * psi.hbar * (a * dpsi_p - b * dpsi_q) - lh * psi.field.values
     return WaveFunction(ScalarField(grid, values), psi.hbar)
+
+
+def apply_prequantum(H: HamiltonianSpec, psi: WaveFunction) -> WaveFunction:
+    """Covariant Liouvillian: iħ {H, Ψ} - L_H Ψ."""
+    return _prequantum(psi, *coefficient_fields(H, psi.grid))
 
 
 def kvh_rhs(H: HamiltonianSpec, psi: WaveFunction) -> WaveFunction:
@@ -214,15 +204,15 @@ def evolve(
     return traj
 
 
-def interpolate_field(f: ScalarField, q, p, order: int = 3) -> np.ndarray:
+def interpolate_field(f: ScalarField, q, p) -> np.ndarray:
     """Bicubic spline interpolation with periodic wrapping."""
     g = f.grid
     coords = np.array([(q - g.q_min) / g.dq, (p - g.p_min) / g.dp])
     if f.values.dtype.kind == "c":
-        re = map_coordinates(f.values.real, coords, order=order, mode="grid-wrap")
-        im = map_coordinates(f.values.imag, coords, order=order, mode="grid-wrap")
+        re = map_coordinates(f.values.real, coords, order=3, mode="grid-wrap")
+        im = map_coordinates(f.values.imag, coords, order=3, mode="grid-wrap")
         return re + 1j * im
-    return map_coordinates(f.values, coords, order=order, mode="grid-wrap")
+    return map_coordinates(f.values, coords, order=3, mode="grid-wrap")
 
 
 def characteristics_oracle(

@@ -79,19 +79,17 @@ def _neighbors(iq, ip, n_q, n_p):
     yield iq, (ip + 1) % n_p
 
 
-def polar_decompose(psi: WaveFunction, eps_polar: float | None = None) -> PolarPair:
+def polar_decompose(psi: WaveFunction) -> PolarPair:
     """Polar form Ψ = sqrt(D) exp(iS/ħ) with flood-fill phase unwrapping.
 
     Unwrapping starts from the density maximum and proceeds by breadth
-    first search over nodes with D > eps_polar; each disconnected support
+    first search over nodes with D > 1e-8 max D; each disconnected support
     component gets its own (reported) phase offset. S is zero off-support.
     """
     g = psi.grid
     v = psi.field.values
     D = np.abs(v) ** 2
-    if eps_polar is None:
-        eps_polar = 1e-8 * D.max()
-    mask = D > eps_polar
+    mask = D > 1e-8 * D.max()
     theta = np.zeros_like(D)
     angle = np.angle(v)
     visited = np.zeros_like(mask)

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .grid import time_steps
+from .grid import spectral_ik, time_steps
 
 
 @dataclass(eq=False)
@@ -35,13 +35,11 @@ class LineGrid:
 
     @cached_property
     def _ik(self) -> np.ndarray:
-        k = 2 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        if self.n % 2 == 0:
-            k[self.n // 2] = 0.0
-        return 1j * k
+        return spectral_ik(self.n, self.dx)
 
     @cached_property
     def k(self) -> np.ndarray:
+        # the kinetic phase needs the Nyquist mode, which _ik drops
         return 2 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     def ddx(self, values: np.ndarray) -> np.ndarray:

@@ -8,12 +8,13 @@ the quadrature weight dq*dp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import PERIODIC, PhaseGrid, ScalarField, time_steps
+from .grid import PERIODIC, PhaseGrid, ScalarField, spectral_ik, time_steps
 from .hamiltonian import (
     HamiltonianSpec,
     OneForm,
@@ -76,36 +77,36 @@ def _flatten(values: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _spectral_diff_matrix(n: int, spacing: float) -> np.ndarray:
-    k = 2 * np.pi * np.fft.fftfreq(n, d=spacing)
-    if n % 2 == 0:
-        k[n // 2] = 0.0
-    D = np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    D = np.fft.ifft(spectral_ik(n, spacing)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
     return np.real(D)
 
 
 @lru_cache(maxsize=16)
-def _stencil_diff_matrix(n: int, spacing: float, npts: int) -> np.ndarray:
-    """First-derivative matrix from npts-point stencils, one-sided at edges.
+def _local_stencil_matrix(n: int, npts: int, shift: float, order: int) -> np.ndarray:
+    """Row i: npts-point polynomial weights for the value (order 0) or the
+    first derivative (order 1) at node i + shift, on unit spacing.
 
-    npts = 5 reproduces the grid's fd4 stencils exactly; larger stencils
-    are used where the truncation error must sit below a tight tolerance
-    (kernel hydrodynamic extraction).
+    Each window is centred on i + shift where it fits and one-sided at the
+    edges. npts = 5 reproduces the grid's fd4 stencils exactly.
     """
-    D = np.zeros((n, n))
+    M = np.zeros((n, n))
+    start = math.ceil(shift - (npts - 1) / 2)
     for i in range(n):
-        lo = min(max(i - npts // 2, 0), n - npts)
-        offsets = np.arange(lo, lo + npts) - i
+        lo = min(max(i + start, 0), n - npts)
+        offsets = np.arange(lo, lo + npts) - i - shift
         A = np.vander(offsets, npts, increasing=True).T.astype(float)
         b = np.zeros(npts)
-        b[1] = 1.0
-        D[i, lo : lo + npts] = np.linalg.solve(A, b) / spacing
-    return D
+        b[order] = 1.0
+        M[i, lo : lo + npts] = np.linalg.solve(A, b)
+    return M
 
 
 def _diff_matrix(n: int, spacing: float, bc: str, npts: int = 5) -> np.ndarray:
+    # stencils wider than 5 points are used where the truncation error must
+    # sit below a tight tolerance (kernel hydrodynamic extraction)
     if bc == PERIODIC:
         return _spectral_diff_matrix(n, spacing)
-    return _stencil_diff_matrix(n, spacing, npts)
+    return _local_stencil_matrix(n, npts, 0.0, 1) / spacing
 
 
 def derivative_matrices(grid: PhaseGrid, npts: int = 5):
@@ -117,10 +118,10 @@ def derivative_matrices(grid: PhaseGrid, npts: int = 5):
     return Dq, Dp
 
 
-def kernel_from_wavefunction(psi: WaveFunction, tol: float = 1e-8) -> VNKernel:
-    """Rank-1 kernel Psi(z) conj(Psi(z')); requires a normalized input."""
+def kernel_from_wavefunction(psi: WaveFunction) -> VNKernel:
+    """Rank-1 kernel Psi(z) conj(Psi(z')); requires a norm within 1e-8 of 1."""
     norm = psi.norm()
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > 1e-8:
         raise KernelError(f"wavefunction norm {norm:.6g} is not 1")
     v = _flatten(psi.field.values)
     return VNKernel(psi.grid, np.outer(v, v.conj()), psi.hbar)
@@ -254,20 +255,6 @@ def hydro_from_kernel(theta: VNKernel) -> HydroState:
     )
 
 
-@lru_cache(maxsize=8)
-def _half_shift_matrix(n: int, npts: int = 8) -> np.ndarray:
-    """Interpolation matrix evaluating a sampled line at i + 1/2, npts-point local stencils."""
-    S = np.zeros((n, n))
-    for i in range(n):
-        lo = min(max(i - npts // 2 + 1, 0), n - npts)
-        offsets = np.arange(lo, lo + npts) - i - 0.5
-        A = np.vander(offsets, npts, increasing=True).T.astype(float)
-        b = np.zeros(npts)
-        b[0] = 1.0
-        S[i, lo : lo + npts] = np.linalg.solve(A, b)
-    return S
-
-
 def _upsample2(values: np.ndarray) -> np.ndarray:
     """Refine a field to the half-spacing grid by local polynomial interpolation.
 
@@ -275,8 +262,9 @@ def _upsample2(values: np.ndarray) -> np.ndarray:
     periodization ringing from non-periodic (boundary-tailed) densities.
     """
     nq, np_ = values.shape
-    Sq = _half_shift_matrix(nq)
-    Sp = _half_shift_matrix(np_)
+    # 8-point local stencils evaluating each line at i + 1/2
+    Sq = _local_stencil_matrix(nq, 8, 0.5, 0)
+    Sp = _local_stencil_matrix(np_, 8, 0.5, 0)
     half_q = Sq @ values
     fine_q = np.empty((2 * nq, np_))
     fine_q[0::2] = values
@@ -288,22 +276,20 @@ def _upsample2(values: np.ndarray) -> np.ndarray:
     return fine
 
 
-def point_particle_kernel(
-    D_target: ScalarField, hbar: float = 1.0, tol: float = 1e-8
-) -> VNKernel:
+def point_particle_kernel(D_target: ScalarField, hbar: float = 1.0) -> VNKernel:
     """Kernel D((z+z')/2) exp(i (p+p')(q-q') / 2ħ) realizing rho = D.
 
-    The phase factor is evaluated in closed form at node pairs. Midpoints
-    (z+z')/2 all sit on the half-spacing refinement of the grid, so D is
-    evaluated there exactly by Fourier zero-pad upsampling (scattered
-    interpolation would leak a few-percent error into the extracted
-    sigma).
+    D must be nonnegative and integrate to 1 within 1e-8. The phase factor
+    is evaluated in closed form at node pairs. Midpoints (z+z')/2 all sit
+    on the half-spacing refinement of the grid, so D is evaluated there by
+    local polynomial upsampling (scattered interpolation would leak a
+    few-percent error into the extracted sigma).
     """
     g = D_target.grid
     if np.min(D_target.values) < -1e-12:
         raise KernelError("target density must be nonnegative")
     total = float(np.real(g.integrate_values(D_target.values)))
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-8:
         raise KernelError(f"target density integrates to {total:.6g}, expected 1")
     fine = _upsample2(D_target.values)
     # midpoint of nodes (iq,ip) and (jq,jp) has fine-grid index (iq+jq, ip+jp)

@@ -9,8 +9,13 @@ from kvhsim.contact import (
     lift_hamiltonian_flow,
 )
 from kvhsim.grid import PhaseGrid, ScalarField, l2_norm
-from kvhsim.hamiltonian import DomainExitError, polynomial_hamiltonian, scenario_hamiltonian
-from kvhsim.kvh import gaussian_wavepacket
+from kvhsim.hamiltonian import (
+    DomainExitError,
+    backward_characteristics,
+    polynomial_hamiltonian,
+    scenario_hamiltonian,
+)
+from kvhsim.kvh import characteristics_oracle, gaussian_wavepacket
 
 
 @pytest.fixture
@@ -71,6 +76,21 @@ class TestVanHoveAction:
         a = apply_van_hove(T0, psi, on_exit="zero").field.values
         b = apply_van_hove(T1, psi, on_exit="zero").field.values
         np.testing.assert_allclose(b, np.exp(-0.7j / psi.hbar) * a, atol=1e-12)
+
+
+    @pytest.mark.parametrize("name, t", [("harmonic", np.pi / 2), ("quartic", 2.0)])
+    def test_zero_offset_action_is_the_oracle(self, name, t):
+        # the quartic box loses characteristics through its edges by t = 2
+        g = PhaseGrid(-3, 3, -3, 3, 32, 32)
+        H = scenario_hamiltonian(name)
+        psi = gaussian_wavepacket(g, center=(0.8, 0.0), sigma=(0.35, 0.35))
+        T = lift_hamiltonian_flow(H, t, 0.0, g, on_exit="zero")
+        upsi = apply_van_hove(T, psi, on_exit="zero").field.values
+        oracle = characteristics_oracle(H, psi, t, on_exit="zero").field.values
+        assert np.array_equal(upsi, oracle)
+        if name == "quartic":
+            _, _, _, bad = backward_characteristics(H, g, t, 1e-3, "zero")
+            assert bad.any() and np.all(upsi[bad] == 0)
 
 
 class TestEquivariance:

@@ -10,7 +10,6 @@ from kvhsim.kvh import (
     EvolutionAborted,
     WaveFunction,
     apply_prequantum,
-    boundary_margin_fraction,
     cfl_number,
     characteristics_oracle,
     commutator_residual,
@@ -52,11 +51,6 @@ class TestWavefunctions:
 
     def test_symplectic_form_vanishes_on_diagonal(self, psi):
         assert symplectic_form(psi, psi) == pytest.approx(0.0, abs=1e-12)
-
-    def test_boundary_margin(self, grid):
-        centered = gaussian_wavepacket(grid, center=(0.0, 0.0), sigma=(0.5, 0.5))
-        shifted = gaussian_wavepacket(grid, center=(6.5, 0.0), sigma=(0.5, 0.5))
-        assert boundary_margin_fraction(centered) > boundary_margin_fraction(shifted)
 
     @settings(max_examples=15, deadline=None)
     @given(

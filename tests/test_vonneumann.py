@@ -134,6 +134,16 @@ class TestOperatorDiscretization:
                 (Dp @ f.reshape(-1)).reshape(24, 24), g.ddp(f), atol=1e-10
             )
 
+    def test_nine_point_stencils_exact_on_degree_8(self):
+        # the wide stencils of hydro_from_kernel, one-sided rows included
+        g = PhaseGrid(-1, 1, -1, 1, 12, 12, FD4)
+        Dq, Dp = derivative_matrices(g, npts=9)
+        f = g.Q**8 - 3 * g.Q**5 * g.P**3 + g.P**8 + g.Q * g.P**7
+        f_q = 8 * g.Q**7 - 15 * g.Q**4 * g.P**3 + g.P**7
+        f_p = -9 * g.Q**5 * g.P**2 + 8 * g.P**7 + 7 * g.Q * g.P**6
+        np.testing.assert_allclose((Dq @ f.reshape(-1)).reshape(12, 12), f_q, atol=1e-9)
+        np.testing.assert_allclose((Dp @ f.reshape(-1)).reshape(12, 12), f_p, atol=1e-9)
+
     def test_upsample_exact_on_polynomials(self):
         # 8-point midpoint stencils are exact through degree 7
         g = coarse_grid()

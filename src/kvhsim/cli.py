@@ -22,7 +22,7 @@ import numpy as np
 from . import contact, kvh, liouville, madelung, qhd, vonneumann
 from .fieldio import load_field, save_field, write_csv_log
 from .grid import FD4, PERIODIC, PhaseGrid, ScalarField, l1_norm, l2_norm
-from .hamiltonian import flow_map, polynomial_hamiltonian, scenario_hamiltonian
+from .hamiltonian import HamiltonianSpec, flow_map, polynomial_hamiltonian, scenario_hamiltonian
 
 OUTPUT_ROOT_ENV = "KVHSIM_OUTPUT_ROOT"
 
@@ -160,13 +160,14 @@ class RunContext:
         else:
             self.H = scenario_hamiltonian(cfg.hamiltonian or SCENARIOS[cfg.scenario]["hamiltonian"])
         self._trajectory = None
+        self._lifts = {}
 
     def initial_wavefunction(self) -> kvh.WaveFunction:
         defaults = SCENARIOS[self.cfg.scenario]
         return kvh.gaussian_wavepacket(
             self.grid,
-            center=defaults.get("center", (0.5, 0.3)),
-            sigma=defaults.get("sigma", (0.7, 0.7)),
+            center=defaults["center"],
+            sigma=defaults["sigma"],
             phase=lambda q, p: 0.3 * q - 0.2 * p,
             hbar=self.cfg.hbar,
         )
@@ -181,6 +182,16 @@ class RunContext:
                 stride=self.cfg.stride,
             )
         return self._trajectory
+
+    def lift(self, H: HamiltonianSpec, t: float) -> contact.ContactTransform:
+        """The lift of H's time-t flow at the run's dt, exited nodes zeroed.
+
+        One per (H.name, t), so the checks of a run share its characteristics.
+        """
+        key = (H.name, t)
+        if key not in self._lifts:
+            self._lifts[key] = contact.ContactTransform(H, t, 0.0, self.grid, self.cfg.dt, "zero")
+        return self._lifts[key]
 
 
 # -- checks ----------------------------------------------------------------
@@ -201,7 +212,7 @@ def check_characteristics(ctx: RunContext):
     cfg = ctx.cfg
     psi0 = ctx.initial_wavefunction()
     final = ctx.trajectory().final()
-    oracle = kvh.characteristics_oracle(ctx.H, psi0, cfg.t_final, dt=cfg.dt, on_exit="zero")
+    oracle = kvh.characteristics_oracle(psi0, ctx.lift(ctx.H, cfg.t_final).backward)
     err = l2_norm(ScalarField(ctx.grid, final.field.values - oracle.field.values))
     return [CheckResult("oracle_l2", err, cfg.tol("oracle_l2"))]
 
@@ -228,7 +239,7 @@ def check_naturality(ctx: RunContext):
     rho0 = madelung.classical_density(psi0)
     final = ctx.trajectory().final()
     rho_wave = madelung.classical_density(final)
-    rho_push = liouville.evolve_pushforward(rho0, ctx.H, cfg.t_final, dt=cfg.dt, on_exit="zero")
+    rho_push = liouville.evolve_pushforward(rho0, ctx.lift(ctx.H, cfg.t_final).backward)
     dist = l1_norm(ScalarField(ctx.grid, rho_wave.values - rho_push.values))
     mass0 = float(np.real(ctx.grid.integrate_values(rho0.values)))
     mass1 = float(np.real(ctx.grid.integrate_values(rho_wave.values)))
@@ -290,17 +301,14 @@ def check_transport(ctx: RunContext):
 
 def check_equivariance(ctx: RunContext):
     cfg = ctx.cfg
-    G = scenario_hamiltonian("harmonic")
-    T = contact.lift_hamiltonian_flow(G, np.pi / 2, 0.0, ctx.grid, flow_dt=cfg.dt, on_exit="zero")
+    T = ctx.lift(scenario_hamiltonian("harmonic"), np.pi / 2)
     psi = ctx.initial_wavefunction()
     H_half = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
     H_rot = polynomial_hamiltonian("half_p2", {(0, 2): 0.5})  # q2/2 composed with quarter rotation
-    r = contact.equivariance_residual(T, H_half, psi, composed=H_rot, on_exit="zero")
-    upsi = contact.apply_van_hove(T, psi, on_exit="zero")
+    r = contact.equivariance_residual(T, H_half, psi, composed=H_rot)
+    upsi = contact.apply_van_hove(T, psi)
     rho_u = madelung.classical_density(upsi)
-    rho_push = liouville.evolve_pushforward(
-        madelung.classical_density(psi), G, np.pi / 2, dt=cfg.dt, on_exit="zero"
-    )
+    rho_push = liouville.evolve_pushforward(madelung.classical_density(psi), T.backward)
     dist = l1_norm(ScalarField(ctx.grid, rho_u.values - rho_push.values))
     return [
         CheckResult("equivariance_residual", r, cfg.tol("equivariance_residual")),
@@ -494,7 +502,7 @@ def run_command(args) -> int:
             cfg = replace(cfg, **overrides)
         cfg = apply_scenario_defaults(cfg)
         ctx = RunContext(cfg)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

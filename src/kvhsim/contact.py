@@ -10,15 +10,19 @@ Jacobian, so no density factor appears).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import PhaseGrid, ScalarField, l2_norm
 from .hamiltonian import (
+    Characteristics,
     HamiltonianSpec,
     backward_characteristics,
     central_gradient,
+    check_on_exit,
     flow_jacobian,
+    flow_map,
     flow_with_action,
 )
 from .kvh import WaveFunction, _prequantum, apply_prequantum, characteristics_oracle
@@ -32,6 +36,8 @@ class ContactTransform:
     time: flow time.
     theta: constant phase offset (the lift is unique only up to it).
     flow_dt: step used when integrating trajectories.
+    on_exit: "error" rejects characteristics that leave the box; "zero"
+    assigns zero there (valid for boundary-clear wavefunctions).
     """
 
     generator: HamiltonianSpec
@@ -39,11 +45,21 @@ class ContactTransform:
     theta: float
     grid: PhaseGrid
     flow_dt: float = 1e-3
+    on_exit: str = "error"
+
+    def __post_init__(self):
+        check_on_exit(self.on_exit)
+
+    @cached_property
+    def backward(self) -> Characteristics:
+        """Every grid node flowed back by `time`, computed once per transform."""
+        return backward_characteristics(
+            self.generator, self.grid, self.time, self.flow_dt, self.on_exit
+        )
 
     def eta(self, q, p):
         """Forward flow map."""
-        qf, pf, _ = flow_with_action(self.generator, self.time, q, p, self.flow_dt)
-        return qf, pf
+        return flow_map(self.generator, self.time, (q, p), self.flow_dt)
 
     def jacobian_field(self) -> ScalarField:
         """Numerical Jacobian determinant of eta (should be 1)."""
@@ -54,7 +70,7 @@ class ContactTransform:
 
     def inverse(self) -> "ContactTransform":
         return ContactTransform(
-            self.generator, -self.time, -self.theta, self.grid, self.flow_dt
+            self.generator, -self.time, -self.theta, self.grid, self.flow_dt, self.on_exit
         )
 
     def connection_residual(self) -> float:
@@ -90,25 +106,25 @@ def lift_hamiltonian_flow(
     flow_dt: float = 1e-3,
     on_exit: str = "error",
 ) -> ContactTransform:
-    """Lift the time-t flow of X_G to a strict contact transformation."""
-    T = ContactTransform(G, t, theta, grid, flow_dt)
+    """Lift the time-t flow of X_G to a strict contact transformation.
+
+    on_exit is checked here and kept by the lift and its inverse.
+    """
+    T = ContactTransform(G, t, theta, grid, flow_dt, on_exit)
     if on_exit == "error":
         # fail early if grid nodes leave the box (forward by t = backward by -t)
         backward_characteristics(G, grid, -t, flow_dt, "error")
     return T
 
 
-def apply_van_hove(
-    T: ContactTransform, psi: WaveFunction, on_exit: str = "error"
-) -> WaveFunction:
+def apply_van_hove(T: ContactTransform, psi: WaveFunction) -> WaveFunction:
     """Unitary action: U Ψ(z) = exp(-i phi(η⁻¹ z)/ħ) Ψ(η⁻¹ z).
 
     phi evaluated at η⁻¹(z) equals theta plus the action accumulated on
-    the backward trajectory, so U is the characteristics oracle of the
-    generator at the lift's time, times exp(-i theta/ħ). on_exit as in
-    the characteristics oracle.
+    the backward trajectory, so U is the characteristics oracle on the
+    lift's backward characteristics, times exp(-i theta/ħ).
     """
-    moved = characteristics_oracle(T.generator, psi, T.time, T.flow_dt, on_exit)
+    moved = characteristics_oracle(psi, T.backward)
     values = np.exp(-1j * T.theta / psi.hbar) * moved.field.values
     return WaveFunction(ScalarField(psi.grid, values), psi.hbar)
 
@@ -137,18 +153,13 @@ def equivariance_residual(
     H: HamiltonianSpec,
     psi: WaveFunction,
     composed: HamiltonianSpec | None = None,
-    on_exit: str = "error",
 ) -> float:
     """Relative residual of U† L̂_H U = L̂_{H∘η} on psi.
 
     Pass `composed` when H∘η is known in closed form; otherwise it is
     constructed numerically from the flow.
     """
-    lhs = apply_van_hove(
-        T.inverse(),
-        apply_prequantum(H, apply_van_hove(T, psi, on_exit)),
-        on_exit,
-    )
+    lhs = apply_van_hove(T.inverse(), apply_prequantum(H, apply_van_hove(T, psi)))
     if composed is not None:
         rhs = apply_prequantum(composed, psi)
     else:

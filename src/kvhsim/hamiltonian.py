@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import PhaseGrid, ScalarField
+from .grid import GridMismatchError, PhaseGrid, ScalarField
 
 Func2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -304,15 +304,38 @@ def out_of_domain_mask(grid: PhaseGrid, q, p) -> np.ndarray:
         )
 
 
-def backward_characteristics(H: HamiltonianSpec, grid: PhaseGrid, t: float, dt: float, on_exit: str):
-    """Flow every node back by t: (q0, p0, action of L_H, mask of exited nodes).
+@dataclass(frozen=True, eq=False)
+class Characteristics:
+    """Every node of `grid` flowed back by t: foot points (q0, p0), the action
+    of L_H along each backward trajectory, and the mask of exited nodes."""
+
+    grid: PhaseGrid
+    t: float
+    q0: np.ndarray
+    p0: np.ndarray
+    action: np.ndarray
+    exited: np.ndarray
+
+    def check_grid(self, grid: PhaseGrid) -> None:
+        if grid is not self.grid and not grid.same_geometry(self.grid):
+            raise GridMismatchError("characteristics were flowed on a different grid")
+
+
+def check_on_exit(on_exit: str) -> None:
+    if on_exit not in ("error", "zero"):
+        raise ValueError(f"unknown on_exit {on_exit!r}; choose 'error' or 'zero'")
+
+
+def backward_characteristics(
+    H: HamiltonianSpec, grid: PhaseGrid, t: float, dt: float, on_exit: str
+) -> Characteristics:
+    """Flow every node of `grid` back by t along X_H with step dt.
 
     on_exit "error" raises DomainExitError with the `indices` of every exited
     node; "zero" moves exited foot points to the box corner with zero action,
     for callers that zero those nodes after interpolating.
     """
-    if on_exit not in ("error", "zero"):
-        raise ValueError(f"unknown on_exit {on_exit!r}; choose 'error' or 'zero'")
+    check_on_exit(on_exit)
     q0, p0, action = flow_with_action(H, -t, grid.Q, grid.P, dt)
     bad = out_of_domain_mask(grid, q0, p0)
     if bad.any():
@@ -325,7 +348,7 @@ def backward_characteristics(H: HamiltonianSpec, grid: PhaseGrid, t: float, dt: 
         q0 = np.where(bad, grid.q_min, q0)
         p0 = np.where(bad, grid.p_min, p0)
         action = np.where(bad, 0.0, action)
-    return q0, p0, action, bad
+    return Characteristics(grid, t, q0, p0, action, bad)
 
 
 def flow_jacobian(H: HamiltonianSpec, t: float, q, p, dt: float = 1e-3):

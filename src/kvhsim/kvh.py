@@ -26,9 +26,9 @@ from .grid import (
     time_steps,
 )
 from .hamiltonian import (
+    Characteristics,
     HamiltonianSpec,
     PolynomialHamiltonian,
-    backward_characteristics,
     coefficient_fields,
 )
 
@@ -215,26 +215,21 @@ def interpolate_field(f: ScalarField, q, p) -> np.ndarray:
     return map_coordinates(f.values, coords, order=3, mode="grid-wrap")
 
 
-def characteristics_oracle(
-    H: HamiltonianSpec, psi0: WaveFunction, t: float, dt: float = 1e-3,
-    on_exit: str = "error",
-) -> WaveFunction:
+def characteristics_oracle(psi0: WaveFunction, ch: Characteristics) -> WaveFunction:
     """Exact KvH solution by the method of characteristics.
 
-    Each node is flowed backwards; the wavefunction value is interpolated
-    there (bicubic) and multiplied by the accumulated-action phase.
-
-    on_exit: "error" rejects characteristics leaving the box; "zero"
-    assigns zero there (valid for boundary-clear initial data).
+    The wavefunction is interpolated (bicubic) at each node's backward foot
+    point in `ch` and multiplied by the accumulated-action phase; nodes whose
+    characteristic left the box are zero. `ch` must be flowed on psi0's grid.
     """
     grid = psi0.grid
-    if t == 0:
+    ch.check_grid(grid)
+    if ch.t == 0:
         return psi0.copy()
-    q0, p0, action_back, bad = backward_characteristics(H, grid, t, dt, on_exit)
-    values = np.exp(-1j * action_back / psi0.hbar) * interpolate_field(
-        psi0.field, q0, p0
+    values = np.exp(-1j * ch.action / psi0.hbar) * interpolate_field(
+        psi0.field, ch.q0, ch.p0
     )
-    values = np.where(bad, 0.0, values)
+    values = np.where(ch.exited, 0.0, values)
     return WaveFunction(ScalarField(grid, values), psi0.hbar)
 
 

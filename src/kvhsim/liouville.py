@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import PhaseGrid, ScalarField, rk4_steps, time_steps
-from .hamiltonian import HamiltonianSpec, backward_characteristics, coefficient_fields
+from .hamiltonian import Characteristics, HamiltonianSpec, coefficient_fields
 from .kvh import interpolate_field
 
 
@@ -30,22 +30,20 @@ def liouville_rhs(rho: ScalarField, H: HamiltonianSpec) -> ScalarField:
     return ScalarField(rho.grid, drho)
 
 
-def evolve_pushforward(
-    rho0: ScalarField, H: HamiltonianSpec, t: float, dt: float = 1e-3,
-    on_exit: str = "error",
-) -> ScalarField:
+def evolve_pushforward(rho0: ScalarField, ch: Characteristics) -> ScalarField:
     """Semi-Lagrangian evolution: rho(t, z) = rho0(backward flow of z).
 
     The Hamiltonian flow is symplectic, so the Jacobian factor is one and
-    the pushforward is plain composition (bicubic interpolation).
-    on_exit: "error" or "zero" (for boundary-clear densities).
+    the pushforward is plain composition (bicubic interpolation) at the
+    foot points of `ch`, which must be flowed on rho0's grid. Nodes whose
+    characteristic left the box are zero.
     """
     g = rho0.grid
-    if t == 0:
+    ch.check_grid(g)
+    if ch.t == 0:
         return rho0.copy()
-    q0, p0, _, bad = backward_characteristics(H, g, t, dt, on_exit)
-    values = interpolate_field(rho0, q0, p0)
-    values = np.where(bad, 0.0, values)
+    values = interpolate_field(rho0, ch.q0, ch.p0)
+    values = np.where(ch.exited, 0.0, values)
     return ScalarField(g, values)
 
 

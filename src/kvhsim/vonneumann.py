@@ -16,6 +16,7 @@ import numpy as np
 
 from .grid import PERIODIC, PhaseGrid, ScalarField, spectral_ik, time_steps
 from .hamiltonian import (
+    Characteristics,
     HamiltonianSpec,
     OneForm,
     backward_characteristics,
@@ -134,9 +135,7 @@ def prequantum_matrix(H: HamiltonianSpec, grid: PhaseGrid, hbar: float = 1.0) ->
     return 1j * hbar * (a[:, None] * Dp - b[:, None] * Dq) - np.diag(lh)
 
 
-def kernel_propagator(
-    H: HamiltonianSpec, grid: PhaseGrid, t: float, hbar: float, dt: float = 1e-3
-) -> np.ndarray:
+def kernel_propagator(ch: Characteristics, hbar: float) -> np.ndarray:
     """Unitary propagator matrix on flattened fields, built from characteristics.
 
     Row i holds the bicubic interpolation weights at the backward-flowed
@@ -144,18 +143,18 @@ def kernel_propagator(
     characteristic leaves the box get zero rows, which is only valid for
     kernels supported away from the outflow region at the chosen horizon.
     """
-    q0, p0, aback, bad = backward_characteristics(H, grid, t, dt, "zero")
-    phase = np.exp(-1j * aback / hbar)
+    grid = ch.grid
+    phase = np.exp(-1j * ch.action / hbar)
     n = grid.n_q * grid.n_p
     U = np.empty((n, n), dtype=complex)
     basis = np.zeros((grid.n_q, grid.n_p))
     flat = basis.reshape(-1)
     for j in range(n):
         flat[j] = 1.0
-        col = interpolate_field(ScalarField(grid, basis), q0, p0)
+        col = interpolate_field(ScalarField(grid, basis), ch.q0, ch.p0)
         U[:, j] = (phase * col).reshape(-1)
         flat[j] = 0.0
-    U[bad.reshape(-1), :] = 0.0
+    U[ch.exited.reshape(-1), :] = 0.0
     return U
 
 
@@ -195,7 +194,8 @@ def evolve_kernel(
     where one-sided transport stencils break down.
     """
     if method == "characteristics":
-        U = kernel_propagator(H, theta0.grid, t_final, theta0.hbar, dt)
+        ch = backward_characteristics(H, theta0.grid, t_final, dt, "zero")
+        U = kernel_propagator(ch, theta0.hbar)
         return VNKernel(theta0.grid, U @ theta0.K @ U.conj().T, theta0.hbar)
     if method != "rk4":
         raise ValueError(f"unknown kernel evolution method {method!r}")

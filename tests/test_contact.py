@@ -57,15 +57,24 @@ class TestLift:
             lift_hamiltonian_flow(scenario_hamiltonian("free"), 3.0, 0.0, g)
         lift_hamiltonian_flow(scenario_hamiltonian("free"), 3.0, 0.0, g, on_exit="zero")
 
+    def test_unknown_exit_policy_rejected_at_the_lift(self, grid):
+        with pytest.raises(ValueError, match="on_exit"):
+            lift_hamiltonian_flow(
+                scenario_hamiltonian("harmonic"), 0.3, 0.0, grid, on_exit="Zero"
+            )
+
+    def test_inverse_keeps_exit_policy(self, quarter_turn):
+        assert quarter_turn.inverse().on_exit == "zero"
+
 
 class TestVanHoveAction:
     def test_unitary_on_interior_support(self, quarter_turn, psi):
-        upsi = apply_van_hove(quarter_turn, psi, on_exit="zero")
+        upsi = apply_van_hove(quarter_turn, psi)
         assert upsi.norm() == pytest.approx(1.0, abs=1e-5)
 
     def test_inverse_action_roundtrip(self, quarter_turn, psi, grid):
-        upsi = apply_van_hove(quarter_turn, psi, on_exit="zero")
-        back = apply_van_hove(quarter_turn.inverse(), upsi, on_exit="zero")
+        upsi = apply_van_hove(quarter_turn, psi)
+        back = apply_van_hove(quarter_turn.inverse(), upsi)
         err = l2_norm(ScalarField(grid, back.field.values - psi.field.values))
         assert err < 1e-4
 
@@ -73,8 +82,8 @@ class TestVanHoveAction:
         G = scenario_hamiltonian("harmonic")
         T0 = lift_hamiltonian_flow(G, 0.3, 0.0, grid, on_exit="zero")
         T1 = lift_hamiltonian_flow(G, 0.3, 0.7, grid, on_exit="zero")
-        a = apply_van_hove(T0, psi, on_exit="zero").field.values
-        b = apply_van_hove(T1, psi, on_exit="zero").field.values
+        a = apply_van_hove(T0, psi).field.values
+        b = apply_van_hove(T1, psi).field.values
         np.testing.assert_allclose(b, np.exp(-0.7j / psi.hbar) * a, atol=1e-12)
 
 
@@ -85,12 +94,12 @@ class TestVanHoveAction:
         H = scenario_hamiltonian(name)
         psi = gaussian_wavepacket(g, center=(0.8, 0.0), sigma=(0.35, 0.35))
         T = lift_hamiltonian_flow(H, t, 0.0, g, on_exit="zero")
-        upsi = apply_van_hove(T, psi, on_exit="zero").field.values
-        oracle = characteristics_oracle(H, psi, t, on_exit="zero").field.values
+        upsi = apply_van_hove(T, psi).field.values
+        ch = backward_characteristics(H, g, t, 1e-3, "zero")
+        oracle = characteristics_oracle(psi, ch).field.values
         assert np.array_equal(upsi, oracle)
         if name == "quartic":
-            _, _, _, bad = backward_characteristics(H, g, t, 1e-3, "zero")
-            assert bad.any() and np.all(upsi[bad] == 0)
+            assert ch.exited.any() and np.all(upsi[ch.exited] == 0)
 
 
 class TestEquivariance:
@@ -98,12 +107,12 @@ class TestEquivariance:
         # quarter rotation maps q^2/2 to p^2/2
         H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
         H_rot = polynomial_hamiltonian("half_p2", {(0, 2): 0.5})
-        r = equivariance_residual(quarter_turn, H, psi, composed=H_rot, on_exit="zero")
+        r = equivariance_residual(quarter_turn, H, psi, composed=H_rot)
         assert r < 1e-5
 
     def test_numeric_composition_path(self, grid, psi):
         G = scenario_hamiltonian("harmonic")
         T = lift_hamiltonian_flow(G, 0.4, 0.0, grid, on_exit="zero")
         H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
-        r = equivariance_residual(T, H, psi, on_exit="zero")
+        r = equivariance_residual(T, H, psi)
         assert r < 1e-3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kvhsim import cli
+from kvhsim import cli, hamiltonian
 from kvhsim.fieldio import (
     FormatError,
     headers_match,
@@ -273,3 +273,35 @@ class TestCommandLine:
         save_field(b, ScalarField(grid, field.values + 1.0))
         assert cli.main(["compare", str(a), str(b), "--norm", "linf"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(1.0)
+
+
+class TestSharedCharacteristics:
+    """A run flows each backward characteristic set once, whichever checks need it."""
+
+    @pytest.fixture
+    def flows(self, monkeypatch):
+        times = []
+        flow = hamiltonian.flow_with_action
+
+        def counted(H, t, *args, **kwargs):
+            times.append(t)
+            return flow(H, t, *args, **kwargs)
+
+        monkeypatch.setattr(hamiltonian, "flow_with_action", counted)
+        return times
+
+    @pytest.mark.parametrize(
+        "t_final, checks, n_flows",
+        [
+            (1.0, ("equivariance",), 2),
+            (1.0, ("characteristics", "naturality"), 1),
+            (np.pi / 2, ("naturality", "equivariance"), 2),
+        ],
+    )
+    def test_flow_count(self, flows, t_final, checks, n_flows):
+        # t_final 1.0 is the RunConfig default, so harmonic-kvh runs to 2 pi
+        cfg = cli.RunConfig(scenario="harmonic-kvh", n_q=16, n_p=16, dt=1e-2, t_final=t_final)
+        ctx = cli.RunContext(cli.apply_scenario_defaults(cfg))
+        for name in checks:
+            cli.CHECKS[name](ctx)
+        assert len(flows) == n_flows, flows

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kvhsim.grid import PhaseGrid, ScalarField, l2_norm
-from kvhsim.hamiltonian import DomainExitError, constant_hamiltonian, scenario_hamiltonian
+from kvhsim.grid import GridMismatchError, PhaseGrid, ScalarField, l2_norm
+from kvhsim.hamiltonian import (
+    DomainExitError,
+    backward_characteristics,
+    constant_hamiltonian,
+    scenario_hamiltonian,
+)
 from kvhsim.kvh import (
     EvolutionAborted,
     WaveFunction,
@@ -143,13 +148,14 @@ class TestCharacteristics:
     def test_oracle_matches_solver_short_time(self, grid, psi):
         H = scenario_hamiltonian("free")
         fin = evolve(H, psi, 0.3, 1e-3, record_energy=False).final()
-        oracle = characteristics_oracle(H, psi, 0.3, on_exit="zero")
+        oracle = characteristics_oracle(psi, backward_characteristics(H, grid, 0.3, 1e-3, "zero"))
         err = l2_norm(ScalarField(grid, fin.field.values - oracle.field.values))
         # the oracle's bicubic interpolation floor dominates at 64 nodes
         assert err < 1e-4
 
     def test_zero_time_is_identity(self, psi):
-        out = characteristics_oracle(scenario_hamiltonian("free"), psi, 0.0)
+        ch = backward_characteristics(scenario_hamiltonian("free"), psi.grid, 0.0, 1e-3, "error")
+        out = characteristics_oracle(psi, ch)
         np.testing.assert_array_equal(out.field.values, psi.field.values)
 
     def test_domain_exit_raises_and_zero_policy(self):
@@ -157,9 +163,15 @@ class TestCharacteristics:
         psi = gaussian_wavepacket(g, center=(0.0, 0.0), sigma=(0.3, 0.3))
         H = scenario_hamiltonian("free")
         with pytest.raises(DomainExitError):
-            characteristics_oracle(H, psi, 1.5)
-        out = characteristics_oracle(H, psi, 1.5, on_exit="zero")
+            backward_characteristics(H, g, 1.5, 1e-3, "error")
+        out = characteristics_oracle(psi, backward_characteristics(H, g, 1.5, 1e-3, "zero"))
         assert np.all(np.isfinite(out.field.values))
+
+    def test_grid_mismatch_raises(self, psi):
+        other = PhaseGrid(-4, 4, -4, 4, 64, 64)
+        ch = backward_characteristics(scenario_hamiltonian("free"), other, 0.3, 1e-2, "zero")
+        with pytest.raises(GridMismatchError):
+            characteristics_oracle(psi, ch)
 
     def test_interpolation_exact_at_nodes(self, grid, psi):
         vals = interpolate_field(psi.field, grid.Q, grid.P)

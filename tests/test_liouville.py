@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from kvhsim.grid import PhaseGrid, ScalarField, l1_norm, integrate
-from kvhsim.hamiltonian import DomainExitError, scenario_hamiltonian
+from kvhsim.grid import GridMismatchError, PhaseGrid, ScalarField, l1_norm, integrate
+from kvhsim.hamiltonian import DomainExitError, backward_characteristics, scenario_hamiltonian
 from kvhsim.liouville import evolve_pushforward, evolve_spectral, liouville_rhs
 
 
@@ -30,7 +30,7 @@ def test_rhs_annihilates_functions_of_h(grid):
 
 def test_pushforward_vs_spectral(grid, rho0):
     H = scenario_hamiltonian("harmonic")
-    a = evolve_pushforward(rho0, H, 0.5, dt=1e-3, on_exit="zero")
+    a = evolve_pushforward(rho0, backward_characteristics(H, grid, 0.5, 1e-3, "zero"))
     b = evolve_spectral(rho0, H, 0.5, 1e-3)
     # bicubic interpolation floor of the semi-Lagrangian path
     assert l1_norm(ScalarField(grid, a.values - b.values)) < 1e-4
@@ -42,9 +42,17 @@ def test_mass_conserved(grid, rho0):
     assert np.real(integrate(out)) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_pushforward_zero_time(rho0):
-    out = evolve_pushforward(rho0, scenario_hamiltonian("free"), 0.0)
+def test_pushforward_zero_time(grid, rho0):
+    ch = backward_characteristics(scenario_hamiltonian("free"), grid, 0.0, 1e-3, "error")
+    out = evolve_pushforward(rho0, ch)
     np.testing.assert_array_equal(out.values, rho0.values)
+
+
+def test_pushforward_grid_mismatch(rho0):
+    other = PhaseGrid(-8, 8, -8, 8, 64, 64)
+    ch = backward_characteristics(scenario_hamiltonian("free"), other, 0.1, 1e-2, "zero")
+    with pytest.raises(GridMismatchError):
+        evolve_pushforward(rho0, ch)
 
 
 def test_pushforward_domain_exit():
@@ -52,12 +60,12 @@ def test_pushforward_domain_exit():
     rho = ScalarField(g, np.exp(-(g.Q**2 + g.P**2) / 0.1))
     H = scenario_hamiltonian("free")
     with pytest.raises(DomainExitError):
-        evolve_pushforward(rho, H, 2.0)
-    out = evolve_pushforward(rho, H, 2.0, on_exit="zero")
+        backward_characteristics(H, g, 2.0, 1e-3, "error")
+    out = evolve_pushforward(rho, backward_characteristics(H, g, 2.0, 1e-3, "zero"))
     assert np.all(np.isfinite(out.values))
 
 
 def test_full_period_returns_initial(grid, rho0):
     H = scenario_hamiltonian("harmonic")
-    out = evolve_pushforward(rho0, H, 2 * np.pi, dt=1e-3, on_exit="zero")
+    out = evolve_pushforward(rho0, backward_characteristics(H, grid, 2 * np.pi, 1e-3, "zero"))
     assert l1_norm(ScalarField(grid, out.values - rho0.values)) < 1e-7

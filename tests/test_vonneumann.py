@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvhsim.grid import FD4, PhaseGrid, ScalarField, time_steps
-from kvhsim.hamiltonian import scenario_hamiltonian
+from kvhsim.hamiltonian import backward_characteristics, scenario_hamiltonian
 from kvhsim.kvh import apply_prequantum, gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import HydroState, hydro_from_wavefunction
 from kvhsim.vonneumann import (
@@ -215,7 +215,7 @@ class TestEvolution:
     def test_characteristics_propagator_unitary_on_rotation(self):
         g = centered_grid()
         H = scenario_hamiltonian("harmonic")
-        U = kernel_propagator(H, g, np.pi / 2, hbar=16.0, dt=5e-3)
+        U = kernel_propagator(backward_characteristics(H, g, np.pi / 2, 5e-3, "zero"), hbar=16.0)
         # quarter turn maps the centered node set onto itself: U is a
         # phase times a permutation, hence exactly unitary
         resid = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))

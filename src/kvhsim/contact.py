@@ -9,7 +9,7 @@ Jacobian, so no density factor appears).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +46,9 @@ class ContactTransform:
     grid: PhaseGrid
     flow_dt: float = 1e-3
     on_exit: str = "error"
+    _inverse: "ContactTransform | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         check_on_exit(self.on_exit)
@@ -69,9 +72,15 @@ class ContactTransform:
         return ScalarField(self.grid, det)
 
     def inverse(self) -> "ContactTransform":
-        return ContactTransform(
-            self.generator, -self.time, -self.theta, self.grid, self.flow_dt, self.on_exit
-        )
+        """The lift of the time -t flow, built once, so that its `backward`
+        is flowed once; the inverse of the inverse is this transform."""
+        if self._inverse is None:
+            inv = ContactTransform(
+                self.generator, -self.time, -self.theta, self.grid, self.flow_dt, self.on_exit
+            )
+            inv._inverse = self
+            self._inverse = inv
+        return self._inverse
 
     def connection_residual(self) -> float:
         """L2 residual of the membership condition eta*A + dphi = A."""
@@ -112,8 +121,9 @@ def lift_hamiltonian_flow(
     """
     T = ContactTransform(G, t, theta, grid, flow_dt, on_exit)
     if on_exit == "error":
-        # fail early if grid nodes leave the box (forward by t = backward by -t)
-        backward_characteristics(G, grid, -t, flow_dt, "error")
+        # fail early if grid nodes leave the box: the forward flow by t is the
+        # inverse's backward flow, kept for the inverse's van Hove action
+        T.inverse().backward
     return T
 
 

@@ -40,17 +40,40 @@ def spectral_ik(n: int, spacing: float) -> np.ndarray:
     return 1j * k
 
 
-def _fd4_1d(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """4th-order finite difference along `axis`, one-sided at the edges."""
+def _fd4_1d(values: np.ndarray, h: float, axis: int, out=None) -> np.ndarray:
+    """4th-order finite difference along `axis`, one-sided at the edges.
+
+    The result is written into `out` when given; it must not share memory
+    with `values`, whose neighbours the stencil still reads.
+    """
     v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+    if out is None:
+        out = np.empty_like(values)
+    o = np.moveaxis(out, axis, 0)
+    o[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
     # one-sided 5-point closures, 4th order
-    out[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
-    out[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
-    out[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12 * h)
-    out[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h)
-    return np.moveaxis(out, 0, axis)
+    o[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
+    o[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
+    o[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12 * h)
+    o[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h)
+    return out
+
+
+def _spectral_1d(values: np.ndarray, ik: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """Spectral derivative along `axis`, ik broadcast along it.
+
+    A complex field is transformed, multiplied and transformed back inside
+    `out` (which may not be `values`); a real field keeps the real part.
+    """
+    if np.isrealobj(values):
+        d = np.fft.ifft(ik * np.fft.fft(values, axis=axis), axis=axis).real
+        if out is None:
+            return d
+        np.copyto(out, d)
+        return out
+    out = np.fft.fft(values, axis=axis, out=out)
+    np.multiply(ik, out, out=out)
+    return np.fft.ifft(out, axis=axis, out=out)
 
 
 @dataclass(eq=False)
@@ -114,17 +137,17 @@ class PhaseGrid:
 
     # -- array-level operations ------------------------------------------
 
-    def ddq(self, values: np.ndarray) -> np.ndarray:
+    def ddq(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """d/dq of values; written into `out` (not `values` itself) when given."""
         if self.bc == PERIODIC:
-            out = np.fft.ifft(self._ikq * np.fft.fft(values, axis=0), axis=0)
-            return out.real if np.isrealobj(values) else out
-        return _fd4_1d(values, self.dq, axis=0)
+            return _spectral_1d(values, self._ikq, 0, out)
+        return _fd4_1d(values, self.dq, 0, out)
 
-    def ddp(self, values: np.ndarray) -> np.ndarray:
+    def ddp(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """d/dp of values; written into `out` (not `values` itself) when given."""
         if self.bc == PERIODIC:
-            out = np.fft.ifft(self._ikp * np.fft.fft(values, axis=1), axis=1)
-            return out.real if np.isrealobj(values) else out
-        return _fd4_1d(values, self.dp, axis=1)
+            return _spectral_1d(values, self._ikp, 1, out)
+        return _fd4_1d(values, self.dp, 1, out)
 
     def integrate_values(self, values: np.ndarray) -> complex | float:
         return values.sum() * (self.dq * self.dp)
@@ -246,21 +269,41 @@ def time_steps(t_final: float, dt: float):
 
 
 def rk4_steps(rhs, state: tuple, dt: float, n_steps: int):
-    """Yield the state after each of n_steps RK4 steps of d(state)/dt = rhs(*state).
+    """Step d(state)/dt = rhs(state) by n_steps RK4 steps, yielding after each.
 
-    state is a tuple of arrays; the stage expressions keep one evaluation order,
-    so every solver rounds alike. Stages live until the next step replaces them:
-    freeing all four at once lets malloc trim the heap and fault it back in.
+    state is a tuple of arrays, stepped in place: every step yields that same
+    tuple, overwritten by the next step, so copy the arrays to keep them. rhs
+    is called as rhs(*stage, out=k) and writes the derivative of each
+    component into the matching array of the tuple k. The four k tuples and
+    the stage input are allocated once. The stage expressions keep one
+    evaluation order, s + (0.5 dt) k and s + (dt/6) (((k1 + 2 k2) + 2 k3) + k4),
+    so every solver rounds alike.
     """
+    k1, k2, k3, k4 = (tuple(np.empty_like(s) for s in state) for _ in range(4))
+    stage = tuple(np.empty_like(s) for s in state)
+
+    def advance(k, h):
+        for s, dk, x in zip(state, k, stage):
+            np.multiply(h, dk, out=x)
+            np.add(s, x, out=x)
+
     for _ in range(n_steps):
-        k1 = rhs(*state)
-        k2 = rhs(*(s + 0.5 * dt * k for s, k in zip(state, k1)))
-        k3 = rhs(*(s + 0.5 * dt * k for s, k in zip(state, k2)))
-        k4 = rhs(*(s + dt * k for s, k in zip(state, k3)))
-        state = tuple(
-            s + (dt / 6) * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
+        rhs(*state, out=k1)
+        advance(k1, 0.5 * dt)
+        rhs(*stage, out=k2)
+        advance(k2, 0.5 * dt)
+        rhs(*stage, out=k3)
+        advance(k3, dt)
+        rhs(*stage, out=k4)
+        # the stage input and k2 are free now: they hold the weighted sum
+        for s, a, b, c, d, x in zip(state, k1, k2, k3, k4, stage):
+            np.multiply(2, b, out=x)
+            np.add(a, x, out=x)
+            np.multiply(2, c, out=b)
+            np.add(x, b, out=x)
+            np.add(x, d, out=x)
+            np.multiply(dt / 6, x, out=x)
+            np.add(s, x, out=s)
         yield state
 
 

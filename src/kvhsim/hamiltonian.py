@@ -77,15 +77,23 @@ class HamiltonianSpec:
 
     def lagrangian(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Phase-space Lagrangian p * dH/dp - H."""
-        return p * self.h_p(q, p) - self.h(q, p)
+        return _lagrangian(self, q, p, self.h_p(q, p))
+
+
+def _lagrangian(H: HamiltonianSpec, q, p, h_p):
+    """L_H = p * dH/dp - H, given dH/dp at (q, p)."""
+    return p * h_p - H.h(q, p)
 
 
 # -- polynomial Hamiltonians ----------------------------------------------
 
 def _poly_eval(coeffs: dict, q, p):
+    # a zero power is left out rather than multiplied in as an array of ones;
+    # the sum still starts from zeros, so a -0.0 term rounds to +0.0
     out = np.zeros(np.broadcast(q, p).shape)
     for (i, j), c in coeffs.items():
-        out = out + c * q**i * p**j
+        term = c * q**i if i else c
+        out = out + (term * p**j if j else term)
     return out
 
 
@@ -247,9 +255,7 @@ def jmap(a: OneForm):
 def _rk4_step(H: HamiltonianSpec, q, p, a, h: float):
     def rhs(q, p):
         dq = H.h_p(q, p)
-        dp = -H.h_q(q, p)
-        da = H.lagrangian(q, p)
-        return dq, dp, da
+        return dq, -H.h_q(q, p), _lagrangian(H, q, p, dq)
 
     k1 = rhs(q, p)
     k2 = rhs(q + 0.5 * h * k1[0], p + 0.5 * h * k1[1])

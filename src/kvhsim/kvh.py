@@ -164,13 +164,17 @@ def evolve(
     a, b, lh = coefficient_fields(H, grid)
     phase_rate = (1j / hbar) * lh
 
-    def rhs(values):
-        # rk4_steps steps a tuple of fields; here the wavefunction is the only one
-        return (
-            a * grid.ddp(values)
-            - b * grid.ddq(values)
-            + phase_rate * values,
-        )
+    work = np.empty((grid.n_q, grid.n_p), complex)
+
+    def rhs(values, out):
+        # a ∂ₚΨ - b ∂_qΨ + (i/ħ) L_H Ψ, rounded as written left to right;
+        # rk4_steps steps a tuple of fields, here the wavefunction alone
+        (d,) = out
+        np.multiply(a, grid.ddp(values, out=d), out=d)
+        np.multiply(b, grid.ddq(values, out=work), out=work)
+        np.subtract(d, work, out=d)
+        np.multiply(phase_rate, values, out=work)
+        np.add(d, work, out=d)
 
     cfl = cfl_number(H, grid, dt)
     if cfl > 0.5:
@@ -180,7 +184,7 @@ def evolve(
         )
 
     n_steps, dt = time_steps(t_final, dt)
-    values = psi0.field.values.astype(complex).copy()
+    values = psi0.field.values.astype(complex)
 
     def snap(t, v):
         psi = WaveFunction(ScalarField(grid, v.copy()), hbar)

@@ -14,19 +14,26 @@ from .hamiltonian import Characteristics, HamiltonianSpec, coefficient_fields
 from .kvh import interpolate_field
 
 
-def _bracket_rhs(H: HamiltonianSpec, g: PhaseGrid):
-    """values -> ({H, values},) on g, with the coefficients sampled once."""
+def _bracket_rhs(H: HamiltonianSpec, g: PhaseGrid, dtype=float):
+    """rhs(values, out=(d,)) writing {H, values} into d, for fields of `dtype`
+    on g, with the coefficients sampled once."""
     a, b, _ = coefficient_fields(H, g)
+    work = np.empty((g.n_q, g.n_p), dtype)
 
-    def rhs(values):
-        return (a * g.ddp(values) - b * g.ddq(values),)
+    def rhs(values, out):
+        (d,) = out
+        np.multiply(a, g.ddp(values, out=d), out=d)
+        np.multiply(b, g.ddq(values, out=work), out=work)
+        np.subtract(d, work, out=d)
 
     return rhs
 
 
 def liouville_rhs(rho: ScalarField, H: HamiltonianSpec) -> ScalarField:
     """{H, rho} with closed-form Hamiltonian partials."""
-    (drho,) = _bracket_rhs(H, rho.grid)(rho.values)
+    dtype = np.result_type(rho.values, 1.0)
+    drho = np.empty(rho.values.shape, dtype)
+    _bracket_rhs(H, rho.grid, dtype)(rho.values, out=(drho,))
     return ScalarField(rho.grid, drho)
 
 
@@ -53,7 +60,7 @@ def evolve_spectral(
     """RK4 cross-check for the semi-Lagrangian scheme."""
     g = rho0.grid
     rhs = _bracket_rhs(H, g)
-    state = (rho0.values.astype(float).copy(),)
+    state = (rho0.values.astype(float),)
     n_steps, dt = time_steps(t_final, dt)
     for state in rk4_steps(rhs, state, dt, n_steps):
         pass

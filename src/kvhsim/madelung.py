@@ -164,17 +164,26 @@ class MaskedPhaseError(ValueError):
 
 
 def _polar_rhs(pair: PolarPair, H: HamiltonianSpec):
-    """(S, D) -> (dS/dt, dD/dt) on the pair's grid, coefficients sampled once."""
+    """rhs(S, D, out=(dS, dD)) writing the time derivatives on the pair's grid,
+    coefficients sampled once."""
     if pair.mask is not None:
         raise MaskedPhaseError("masked polar decomposition not accepted; supply smooth S")
     g = pair.S.grid
     a, b, lh = coefficient_fields(H, g)
+    work = np.empty((g.n_q, g.n_p))
 
-    def rhs(S, D):
+    def bracket(f, out):
         # {f,H} with closed-form H partials: dq(f) b - dp(f) a
-        bracket_S = g.ddq(S) * b - g.ddp(S) * a
-        bracket_D = g.ddq(D) * b - g.ddp(D) * a
-        return lh - bracket_S, -bracket_D
+        np.multiply(g.ddq(f, out=out), b, out=out)
+        np.multiply(g.ddp(f, out=work), a, out=work)
+        np.subtract(out, work, out=out)
+
+    def rhs(S, D, out):
+        dS, dD = out
+        bracket(S, dS)
+        np.subtract(lh, dS, out=dS)
+        bracket(D, dD)
+        np.negative(dD, out=dD)
 
     return rhs
 
@@ -182,7 +191,9 @@ def _polar_rhs(pair: PolarPair, H: HamiltonianSpec):
 def madelung_rhs(pair: PolarPair, H: HamiltonianSpec):
     """Polar-variable transport: dS/dt = L_H - {S,H}, dD/dt = -{D,H}."""
     g = pair.S.grid
-    dS, dD = _polar_rhs(pair, H)(pair.S.values, pair.D.values)
+    rhs = _polar_rhs(pair, H)
+    dS, dD = np.empty((g.n_q, g.n_p)), np.empty((g.n_q, g.n_p))
+    rhs(pair.S.values, pair.D.values, out=(dS, dD))
     return ScalarField(g, dS), ScalarField(g, dD)
 
 
@@ -190,8 +201,8 @@ def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float,
     """RK4 evolution of an unmasked polar pair; returns (times, snapshots)."""
     rhs = _polar_rhs(pair, H)
     g = pair.S.grid
-    S = pair.S.values.astype(float).copy()
-    D = pair.D.values.astype(float).copy()
+    S = pair.S.values.astype(float)
+    D = pair.D.values.astype(float)
     n_steps, dt = time_steps(t_final, dt)
     times = [0.0]
     snaps = [PolarPair(ScalarField(g, S.copy()), ScalarField(g, D.copy()))]
@@ -203,32 +214,34 @@ def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float,
 
 
 def _lie_coefficients(H: HamiltonianSpec, g: PhaseGrid):
-    """X_H = (Xq, Xp) and the second partials (h_qq, h_qp, h_pp) on the grid."""
+    """X_H = (Xq, Xp) on the grid and its Jacobian rows
+    ((d_q Xq, d_q Xp), (d_p Xq, d_p Xp))."""
     if H.h_qq is None or H.h_qp is None or H.h_pp is None:
         raise ValueError(f"{H.name}: second partials required for Lie-derivative transport")
     a, b, _ = coefficient_fields(H, g)
     h_qq = self_broadcast(H.h_qq(g.Q, g.P), g)
     h_qp = self_broadcast(H.h_qp(g.Q, g.P), g)
     h_pp = self_broadcast(H.h_pp(g.Q, g.P), g)
-    return b, -a, h_qq, h_qp, h_pp
+    return b, -a, ((h_qp, -h_qq), (h_pp, -h_qp))
 
 
-def _lie_derivative_one_form(tau_q, tau_p, coeffs, g: PhaseGrid):
-    """Coordinate formula (£_X tau)_i = X·grad(tau_i) + tau_j d_i X^j for X = X_H."""
-    Xq, Xp, h_qq, h_qp, h_pp = coeffs
-    lie_q = (
-        Xq * g.ddq(tau_q)
-        + Xp * g.ddp(tau_q)
-        + tau_q * h_qp
-        + tau_p * (-h_qq)
-    )
-    lie_p = (
-        Xq * g.ddq(tau_p)
-        + Xp * g.ddp(tau_p)
-        + tau_q * h_pp
-        + tau_p * (-h_qp)
-    )
-    return lie_q, lie_p
+def _lie_derivative_one_form(tau_q, tau_p, coeffs, g: PhaseGrid, out=None, work=None):
+    """Coordinate formula (£_X tau)_i = X·grad(tau_i) + tau_j d_i X^j for X = X_H.
+
+    Written into the pair `out`, with `work` as a temporary, when given; each
+    sum is rounded left to right as written.
+    """
+    Xq, Xp, jacobian = coeffs
+    if out is None:
+        out = np.empty_like(tau_q), np.empty_like(tau_q)
+        work = np.empty_like(tau_q)
+    for lie, tau, (dXq, dXp) in zip(out, (tau_q, tau_p), jacobian):
+        np.multiply(Xq, g.ddq(tau, out=lie), out=lie)
+        np.multiply(Xp, g.ddp(tau, out=work), out=work)
+        np.add(lie, work, out=lie)
+        np.add(lie, np.multiply(tau_q, dXq, out=work), out=lie)
+        np.add(lie, np.multiply(tau_p, dXp, out=work), out=lie)
+    return out
 
 
 def one_form_transport_residual(snapshots, times, H: HamiltonianSpec):
@@ -262,18 +275,26 @@ def one_form_transport_residual(snapshots, times, H: HamiltonianSpec):
 
 
 def _hydro_rhs(H: HamiltonianSpec, g: PhaseGrid):
-    """(sigma_q, sigma_p, D) -> their time derivatives, coefficients sampled once."""
+    """rhs(sigma_q, sigma_p, D, out) writing their time derivatives into the
+    triple `out`, coefficients sampled once."""
     coeffs = _lie_coefficients(H, g)
     Xq, Xp = coeffs[:2]
+    tau_q, work, work2 = (np.empty((g.n_q, g.n_p)) for _ in range(3))
 
-    def rhs(sq, sp, D):
-        tau_q = sq - D * g.P
-        tau_p = sp
-        lie_q, lie_p = _lie_derivative_one_form(tau_q, tau_p, coeffs, g)
-        dD = -(g.ddq(D * Xq) + g.ddp(D * Xp))
-        dsigma_q = -lie_q + dD * g.P
-        dsigma_p = -lie_p
-        return dsigma_q, dsigma_p, dD
+    def rhs(sq, sp, D, out):
+        dsigma_q, dsigma_p, dD = out
+        # tau = sigma - D A, A = p dq
+        np.subtract(sq, np.multiply(D, g.P, out=tau_q), out=tau_q)
+        lie_q, lie_p = _lie_derivative_one_form(
+            tau_q, sp, coeffs, g, out=(dsigma_q, dsigma_p), work=work
+        )
+        # dD = -(dq(D Xq) + dp(D Xp))
+        g.ddq(np.multiply(D, Xq, out=work), out=dD)
+        g.ddp(np.multiply(D, Xp, out=work), out=work2)
+        np.negative(np.add(dD, work2, out=dD), out=dD)
+        # dsigma_q = -lie_q + dD p, dsigma_p = -lie_p
+        np.add(np.negative(lie_q, out=lie_q), np.multiply(dD, g.P, out=work), out=lie_q)
+        np.negative(lie_p, out=lie_p)
 
     return rhs
 
@@ -288,8 +309,9 @@ def hydro_rhs(h: HydroState, H: HamiltonianSpec) -> HydroState:
     Returns the time derivative assembled back in (sigma, D) variables.
     """
     g = h.grid
-    rhs = _hydro_rhs(H, g)
-    return _pack_hydro(g, *rhs(h.sigma.a_q.values, h.sigma.a_p.values, h.D.values))
+    out = tuple(np.empty((g.n_q, g.n_p)) for _ in range(3))
+    _hydro_rhs(H, g)(h.sigma.a_q.values, h.sigma.a_p.values, h.D.values, out=out)
+    return _pack_hydro(g, *out)
 
 
 def evolve_hydro(h0: HydroState, H: HamiltonianSpec, t_final: float, dt: float) -> HydroState:
@@ -297,9 +319,9 @@ def evolve_hydro(h0: HydroState, H: HamiltonianSpec, t_final: float, dt: float) 
     g = h0.grid
     rhs = _hydro_rhs(H, g)
     state = (
-        h0.sigma.a_q.values.astype(float).copy(),
-        h0.sigma.a_p.values.astype(float).copy(),
-        h0.D.values.astype(float).copy(),
+        h0.sigma.a_q.values.astype(float),
+        h0.sigma.a_p.values.astype(float),
+        h0.D.values.astype(float),
     )
     n_steps, dt = time_steps(t_final, dt)
     for state in rk4_steps(rhs, state, dt, n_steps):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kvhsim import hamiltonian
 from kvhsim.contact import (
     apply_van_hove,
     equivariance_residual,
@@ -12,6 +13,7 @@ from kvhsim.grid import PhaseGrid, ScalarField, l2_norm
 from kvhsim.hamiltonian import (
     DomainExitError,
     backward_characteristics,
+    flow_with_action,
     polynomial_hamiltonian,
     scenario_hamiltonian,
 )
@@ -65,6 +67,29 @@ class TestLift:
 
     def test_inverse_keeps_exit_policy(self, quarter_turn):
         assert quarter_turn.inverse().on_exit == "zero"
+
+    def test_inverse_is_built_once(self, quarter_turn):
+        inv = quarter_turn.inverse()
+        assert quarter_turn.inverse() is inv
+        assert inv.inverse() is quarter_turn
+
+    def test_lift_and_equivariance_share_their_flows(self, monkeypatch):
+        # the lift's exit check is the inverse's backward flow, kept for reuse
+        flows = []
+
+        def counted(G, t, q0, p0, dt=1e-3):
+            flows.append(t)
+            return flow_with_action(G, t, q0, p0, dt)
+
+        g = PhaseGrid(-8, 8, -8, 8, 16, 16)
+        psi = gaussian_wavepacket(g, center=(0.5, 0.3), sigma=(1.5, 1.5))
+        H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
+        H_rot = polynomial_hamiltonian("half_p2", {(0, 2): 0.5})
+        monkeypatch.setattr(hamiltonian, "flow_with_action", counted)
+        T = lift_hamiltonian_flow(scenario_hamiltonian("harmonic"), np.pi / 2, 0.0, g)
+        residuals = [equivariance_residual(T, H, psi, composed=H_rot) for _ in range(2)]
+        assert flows == [np.pi / 2, -np.pi / 2]
+        assert residuals[0] == residuals[1]
 
 
 class TestVanHoveAction:

@@ -1,6 +1,7 @@
 """Grid construction, derivatives, quadrature, and step adjustment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,16 @@ class TestDerivatives:
         np.testing.assert_allclose(partial_q(f).values, g.ddq(f.values))
         np.testing.assert_allclose(partial_p(f).values, g.ddp(f.values))
 
+    @pytest.mark.parametrize("bc", [PERIODIC, FD4])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_out_argument_receives_the_same_derivative(self, bc, dtype):
+        g = PhaseGrid(-2, 2, -3, 3, 12, 10, bc)
+        values = np.cos(g.Q + 2 * g.P) + (1j if dtype is complex else 0) * np.sin(g.Q * g.P)
+        for deriv in (g.ddq, g.ddp):
+            out = np.empty_like(values)
+            assert deriv(values, out=out) is out
+            assert np.array_equal(out, deriv(values))
+
     def test_nonfinite_rejected(self):
         g = make_grid(8)
         bad = np.zeros((8, 8))
@@ -177,15 +188,44 @@ class TestRK4Steps:
         dt, n = 0.05, 40
         z = lam * dt
         p = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
-        states = list(rk4_steps(lambda y: (lam * y,), (np.ones(4, dtype=complex),), dt, n))
+
+        def rhs(y, out):
+            np.multiply(lam, y, out=out[0])
+
+        states = list(rk4_steps(rhs, (np.ones(4, dtype=complex),), dt, n))
         assert len(states) == n
         np.testing.assert_allclose(states[-1][0], p**n, rtol=1e-13, atol=0)
 
     def test_two_component_state_is_fourth_order(self):
         # oscillator x' = v, v' = -x from (1, 0): exact (cos t, -sin t) at t = 1
+        def rhs(x, v, out):
+            np.copyto(out[0], v)
+            np.negative(x, out=out[1])
+
         def error(dt):
             start = (np.array([1.0]), np.array([0.0]))
-            *_, (x, v) = rk4_steps(lambda x, v: (v, -x), start, dt, round(1.0 / dt))
+            *_, (x, v) = rk4_steps(rhs, start, dt, round(1.0 / dt))
             return max(abs(x[0] - math.cos(1.0)), abs(v[0] + math.sin(1.0)))
 
         assert error(0.1) / error(0.05) >= 12
+
+    def test_state_is_stepped_in_place_without_growing_memory(self):
+        g = make_grid(32)
+
+        def rhs(values, out):
+            g.ddq(values, out=out[0])
+
+        def peak(n_steps):
+            state = (np.exp(1j * g.Q) * np.exp(-(g.P**2)),)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                for stepped in rk4_steps(rhs, state, 1e-3, n_steps):
+                    assert stepped is state and stepped[0] is state[0]
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        size = g.n_q * g.n_p * np.dtype(complex).itemsize
+        assert peak(200) <= peak(20) + size

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import contact, kvh, liouville, madelung, qhd, vonneumann
 from .fieldio import load_field, save_field, write_csv_log
-from .grid import FD4, PERIODIC, PhaseGrid, ScalarField, l1_norm, l2_norm
+from .grid import FD4, PERIODIC, PhaseGrid, ScalarField, l1_norm, l2_norm, time_steps
 from .hamiltonian import HamiltonianSpec, flow_map, polynomial_hamiltonian, scenario_hamiltonian
 
 OUTPUT_ROOT_ENV = "KVHSIM_OUTPUT_ROOT"
@@ -533,6 +533,7 @@ def run_command(args) -> int:
         f"hamiltonian = {ctx.H.name}",
         f"t_final = {cfg.t_final!r}",
         f"dt = {cfg.dt!r}",
+        f"dt_effective = {time_steps(cfg.t_final, cfg.dt)[1]!r}",
         f"scheme = rk4",
         f"seed = {cfg.seed}",
         f"grid = {cfg.n_q}x{cfg.n_p} [{cfg.q_min},{cfg.q_max}]x[{cfg.p_min},{cfg.p_max}] {cfg.bc}",

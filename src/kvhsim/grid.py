@@ -261,8 +261,14 @@ def divergence(v_q: ScalarField, v_p: ScalarField) -> ScalarField:
 
 
 def time_steps(t_final: float, dt: float):
-    """Step count and adjusted step landing exactly on t_final."""
-    if t_final <= 0:
+    """Step count and adjusted step landing exactly on t_final.
+
+    t_final = 0 gives no steps. A negative t_final raises ValueError: the
+    solvers built on this step forward only.
+    """
+    if t_final < 0:
+        raise ValueError(f"t_final = {t_final!r} is negative; evolution runs forward only")
+    if t_final == 0:
         return 0, dt
     n = max(1, int(round(t_final / dt)))
     return n, t_final / n

@@ -78,8 +78,10 @@ def _flatten(values: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _spectral_diff_matrix(n: int, spacing: float) -> np.ndarray:
-    D = np.fft.ifft(spectral_ik(n, spacing)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-    return np.real(D)
+    D = np.real(np.fft.ifft(spectral_ik(n, spacing)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
+    # exactly antisymmetric, so the prequantum matrix of a separable H is
+    # exactly Hermitian (the FFT leaves ~1e-15 of asymmetry)
+    return 0.5 * (D - D.T)
 
 
 @lru_cache(maxsize=16)
@@ -129,7 +131,14 @@ def kernel_from_wavefunction(psi: WaveFunction) -> VNKernel:
 
 
 def prequantum_matrix(H: HamiltonianSpec, grid: PhaseGrid, hbar: float = 1.0) -> np.ndarray:
-    """Dense discretization of iħ{H, ·} - L_H on flattened fields."""
+    """Dense discretization of iħ{H, ·} - L_H on flattened fields.
+
+    On a periodic grid the derivative matrices are exactly antisymmetric,
+    so the matrix is exactly Hermitian whenever dH/dq depends on q alone
+    and dH/dp on p alone (diag(h_q) then commutes with D_p, and diag(h_p)
+    with D_q); evolve_kernel takes its unitary eigenbasis from eigh there.
+    FD4 stencils and non-separable H give a non-Hermitian matrix.
+    """
     Dq, Dp = derivative_matrices(grid)
     a, b, lh = (_flatten(c) for c in coefficient_fields(H, grid))
     return 1j * hbar * (a[:, None] * Dp - b[:, None] * Dq) - np.diag(lh)
@@ -158,7 +167,8 @@ def kernel_propagator(ch: Characteristics, hbar: float) -> np.ndarray:
     return U
 
 
-# closed-form kernel evolution is refused when kappa_1(V) * eps exceeds this
+# closed-form kernel evolution in a general (non-unitary) eigenbasis is
+# refused when kappa_1(V) * eps exceeds this
 _EIGENBASIS_ROUNDOFF_LIMIT = 1e-10
 
 
@@ -178,15 +188,22 @@ def evolve_kernel(
 
     method "rk4" returns the result of n classical RK4 steps of the dense
     commutator flow dK/dt = A K - K A, A = -(i/ħ) L, with (n, dt) from
-    time_steps. It evaluates that discrete scheme in closed form rather
-    than stepping: with A V = V diag(lam), one step multiplies entry
-    (i, j) of V^-1 K V by p(dt (lam_i - lam_j)), where p is the RK4
+    time_steps (a negative t_final raises ValueError; t_final = 0 returns
+    a copy of theta0). It evaluates that discrete scheme in closed form
+    rather than stepping: with A V = V diag(lam), one step multiplies
+    entry (i, j) of V^-1 K V by p(dt (lam_i - lam_j)), where p is the RK4
     stability polynomial, so K(t) = V [p^n * (V^-1 K0 V)] V^-1. The cost
-    is one eigendecomposition and four matmuls for any step count. The
-    eigenbasis amplifies roundoff by up to kappa_1(V) = |V|_1 |V^-1|_1,
-    so a KernelError is raised when kappa_1(V) * eps exceeds 1e-10 (FD4
-    grids with nonnormal one-sided stencils, e.g. the free Hamiltonian).
-    A dt beyond the RK4 stability limit raises RuntimeError.
+    is one eigendecomposition and four matmuls for any step count.
+
+    The eigensolver is chosen by an exact property of L. When L is exactly
+    Hermitian (periodic grids with h_q a function of q and h_p of p, as
+    for every scenario Hamiltonian), eigh gives L = V diag(mu) V^H with V
+    unitary, so lam = -i mu/ħ and V^-1 = V^H. Otherwise (FD4 grids,
+    non-separable H) the general eig is used, and V^-1 amplifies roundoff
+    by up to kappa_1(V) = |V|_1 |V^-1|_1: a KernelError is raised when
+    kappa_1(V) * eps exceeds 1e-10 (nonnormal one-sided stencils, e.g.
+    the free Hamiltonian on FD4). A dt beyond the RK4 stability limit
+    raises RuntimeError.
 
     method "characteristics" conjugates by the backward-flow propagator in
     one shot (dt then controls the flow integration only). It is the
@@ -199,16 +216,23 @@ def evolve_kernel(
         return VNKernel(theta0.grid, U @ theta0.K @ U.conj().T, theta0.hbar)
     if method != "rk4":
         raise ValueError(f"unknown kernel evolution method {method!r}")
-    A = (-1j / theta0.hbar) * prequantum_matrix(H, theta0.grid, theta0.hbar)
-    lam, V = np.linalg.eig(A)
-    V_inv = np.linalg.inv(V)
-    kappa = np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
-    if kappa * np.finfo(float).eps > _EIGENBASIS_ROUNDOFF_LIMIT:
-        raise KernelError(
-            f"Liouvillian eigenvectors are ill-conditioned (kappa_1 = {kappa:.2e}) "
-            f"on this grid; use method=\"characteristics\""
-        )
     n_steps, dt = time_steps(t_final, dt)
+    if n_steps == 0:
+        return theta0.copy()
+    L = prequantum_matrix(H, theta0.grid, theta0.hbar)
+    if np.array_equal(L, L.conj().T):
+        mu, V = np.linalg.eigh(L)
+        lam = (-1j / theta0.hbar) * mu
+        V_inv = V.conj().T
+    else:
+        lam, V = np.linalg.eig((-1j / theta0.hbar) * L)
+        V_inv = np.linalg.inv(V)
+        kappa = np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
+        if kappa * np.finfo(float).eps > _EIGENBASIS_ROUNDOFF_LIMIT:
+            raise KernelError(
+                f"Liouvillian eigenvectors are ill-conditioned (kappa_1 = {kappa:.2e}) "
+                f"on this grid; use method=\"characteristics\""
+            )
     with np.errstate(over="ignore", invalid="ignore"):
         gain = _rk4_stability(dt * (lam[:, None] - lam[None, :])) ** n_steps
         K = V @ (gain * (V_inv @ theta0.K @ V)) @ V_inv
@@ -223,7 +247,8 @@ def evolve_kernel(
 def kernel_energy(theta: VNKernel, H: HamiltonianSpec) -> float:
     """h(Theta) = Tr(L̂_H Theta)."""
     L = prequantum_matrix(H, theta.grid, theta.hbar)
-    return float(np.real(np.trace(L @ theta.K))) * theta.weight
+    # Tr(L K) = sum(L * K.T), without forming the product
+    return float(np.real(np.sum(L * theta.K.T))) * theta.weight
 
 
 def hydro_from_kernel(theta: VNKernel) -> HydroState:

@@ -170,7 +170,8 @@ class TestTimeSteps:
 
     def test_zero_and_negative(self):
         assert time_steps(0.0, 1e-3) == (0, 1e-3)
-        assert time_steps(-1.0, 1e-3) == (0, 1e-3)
+        with pytest.raises(ValueError, match="negative"):
+            time_steps(-1.0, 1e-3)
 
     @given(
         t=st.floats(1e-3, 1e3, allow_nan=False),

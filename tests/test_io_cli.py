@@ -211,6 +211,16 @@ class TestCommandLine:
             assert (out / name).exists()
         assert "overall = pass" in (out / "report").read_text()
 
+    def test_manifest_records_requested_and_effective_dt(self, tmp_path):
+        out = tmp_path / "run-out"
+        argv = ["run", "--scenario", "free-kvh", "--check", "unitarity",
+                "--t-final", "0.05", "--dt", "7e-3", "--outdir", str(out)]
+        assert cli.main(argv) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert "dt = 0.007" in lines
+        # 0.05 / 7e-3 rounds to 7 steps of 0.05 / 7
+        assert f"dt_effective = {0.05 / 7!r}" in lines
+
     def test_impossible_tolerance_fails_run(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(

@@ -136,6 +136,10 @@ class TestEvolution:
         traj = evolve(H, psi, 0.3, 7e-4, record_energy=False)
         assert traj.times[-1] == pytest.approx(0.3, rel=1e-14)
 
+    def test_negative_horizon_raises(self, psi):
+        with pytest.raises(ValueError, match="negative"):
+            evolve(scenario_hamiltonian("free"), psi, -0.5, 1e-2, record_energy=False)
+
     def test_instability_aborts(self, grid):
         # a grossly unstable step produces overflow then NaN, not garbage
         H = scenario_hamiltonian("harmonic")

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from kvhsim.grid import FD4, PhaseGrid, ScalarField, time_steps
-from kvhsim.hamiltonian import backward_characteristics, scenario_hamiltonian
+from kvhsim.hamiltonian import (
+    backward_characteristics,
+    polynomial_hamiltonian,
+    scenario_hamiltonian,
+)
 from kvhsim.kvh import apply_prequantum, gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import HydroState, hydro_from_wavefunction
 from kvhsim.vonneumann import (
@@ -20,8 +24,20 @@ from kvhsim.vonneumann import (
     point_particle_kernel,
     prequantum_matrix,
     sigma_defect,
+    _spectral_diff_matrix,
     _upsample2,
 )
+
+SCENARIOS = ("harmonic", "free", "quartic", "pendulum")
+
+
+def nonseparable():
+    # h_q depends on p and h_p on q: the discrete L is not Hermitian
+    return polynomial_hamiltonian("mixed", {(2, 0): 0.5, (0, 2): 0.5, (1, 1): 0.3})
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this decomposition must not run")
 
 
 def coarse_grid(bc="periodic"):
@@ -134,6 +150,27 @@ class TestOperatorDiscretization:
                 (Dp @ f.reshape(-1)).reshape(24, 24), g.ddp(f), atol=1e-10
             )
 
+    @pytest.mark.parametrize("n", [10, 25, 32])
+    def test_spectral_diff_matrix_exactly_antisymmetric(self, n):
+        D = _spectral_diff_matrix(n, 8.0 / n)
+        assert np.array_equal(D, -D.T)
+
+    @pytest.mark.parametrize("shape", [(10, 10), (25, 25), (9, 12)])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_prequantum_matrix_exactly_hermitian_when_separable(self, name, shape):
+        g = PhaseGrid(-4, 4, -3, 3, *shape)
+        L = prequantum_matrix(scenario_hamiltonian(name), g, hbar=0.7)
+        assert np.array_equal(L, L.conj().T)
+
+    @pytest.mark.parametrize(
+        "H, bc",
+        [(scenario_hamiltonian("harmonic"), FD4), (nonseparable(), "periodic")],
+        ids=["fd4", "nonseparable"],
+    )
+    def test_prequantum_matrix_not_hermitian_otherwise(self, H, bc):
+        L = prequantum_matrix(H, small_grid(bc), hbar=0.7)
+        assert not np.array_equal(L, L.conj().T)
+
     def test_nine_point_stencils_exact_on_degree_8(self):
         # the wide stencils of hydro_from_kernel, one-sided rows included
         g = PhaseGrid(-1, 1, -1, 1, 12, 12, FD4)
@@ -179,19 +216,43 @@ class TestEvolution:
         assert theta_t.hermiticity_residual() < 1e-12
 
     @pytest.mark.parametrize(
-        "name, bc",
-        [(h, "periodic") for h in ("harmonic", "free", "quartic", "pendulum")]
-        + [("harmonic", FD4)],
+        "H, bc",
+        [(scenario_hamiltonian(h), "periodic") for h in SCENARIOS]
+        + [(scenario_hamiltonian("harmonic"), FD4), (nonseparable(), "periodic")],
+        ids=[f"{h}-periodic" for h in SCENARIOS] + ["harmonic-fd4", "nonseparable-periodic"],
     )
-    def test_closed_form_matches_step_loop(self, name, bc):
+    def test_closed_form_matches_step_loop(self, H, bc):
         g = small_grid(bc)
-        H = scenario_hamiltonian(name)
         theta0 = kernel_from_wavefunction(
             gaussian_wavepacket(g, center=(0.5, 0.3), sigma=(0.9, 0.9))
         )
         theta_t = evolve_kernel(theta0, H, 0.1, 2e-3)
         ref = rk4_step_loop(theta0, H, 0.1, 2e-3)
         assert np.max(np.abs(theta_t.K - ref)) <= 1e-12
+
+    def test_periodic_separable_never_takes_the_general_eigenbasis(self, monkeypatch):
+        g = small_grid()
+        H = scenario_hamiltonian("harmonic")
+        theta0 = kernel_from_wavefunction(packet(g))
+        ref = rk4_step_loop(theta0, H, 0.1, 2e-3)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        theta_t = evolve_kernel(theta0, H, 0.1, 2e-3)
+        assert np.max(np.abs(theta_t.K - ref)) <= 1e-12
+
+    def test_zero_horizon_is_an_exact_copy(self, monkeypatch):
+        g = small_grid(FD4)
+        theta0 = kernel_from_wavefunction(packet(g))
+        for name in ("eig", "eigh", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        theta_t = evolve_kernel(theta0, scenario_hamiltonian("free"), 0.0, 2e-3)
+        assert theta_t.K is not theta0.K
+        assert np.array_equal(theta_t.K, theta0.K)
+
+    def test_negative_horizon_raises(self):
+        theta0 = kernel_from_wavefunction(packet(small_grid()))
+        with pytest.raises(ValueError, match="negative"):
+            evolve_kernel(theta0, scenario_hamiltonian("harmonic"), -0.5, 5e-3)
 
     def test_ill_conditioned_eigenbasis_rejected(self):
         # one-sided FD4 stencils make the free Liouvillian strongly nonnormal

@@ -410,32 +410,36 @@ CHECKS = {
 
 # -- config parsing --------------------------------------------------------
 
+def _names(value: str) -> tuple:
+    return tuple(s.strip() for s in value.split(",") if s.strip())
+
+
+# the keys of [run] and [grid], each with its parser; any other key is an error
+CONFIG_KEYS = {
+    "run": dict(
+        scenario=str, hamiltonian=str, bc=str, outdir=str, hbar=float, dt=float,
+        t_final=float, stride=int, seed=int, checks=_names,
+    ),
+    "grid": dict(q_min=float, q_max=float, p_min=float, p_max=float, n_q=int, n_p=int),
+}
+CONFIG_SECTIONS = (*CONFIG_KEYS, "hamiltonian.coeffs", "tolerances")
+
+
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    for section in parser.sections():
+        if section not in CONFIG_SECTIONS:
+            raise ConfigError(f"unknown section [{section}]; available: {list(CONFIG_SECTIONS)}")
     kwargs = {}
-    run = parser["run"] if parser.has_section("run") else {}
-    for key in ("scenario", "hamiltonian", "bc", "outdir"):
-        if key in run:
-            kwargs[key] = run[key]
-    for key in ("hbar", "dt", "t_final"):
-        if key in run:
-            kwargs[key] = float(run[key])
-    for key in ("stride", "seed"):
-        if key in run:
-            kwargs[key] = int(run[key])
-    if "checks" in run:
-        kwargs["checks"] = tuple(s.strip() for s in run["checks"].split(",") if s.strip())
-    if parser.has_section("grid"):
-        gsec = parser["grid"]
-        for key in ("q_min", "q_max", "p_min", "p_max"):
-            if key in gsec:
-                kwargs[key] = float(gsec[key])
-        for key in ("n_q", "n_p"):
-            if key in gsec:
-                kwargs[key] = int(gsec[key])
+    for section, keys in CONFIG_KEYS.items():
+        if parser.has_section(section):
+            for key, value in parser[section].items():
+                if key not in keys:
+                    raise ConfigError(f"unknown key {key!r} in [{section}]; available: {list(keys)}")
+                kwargs[key] = keys[key](value)
     if parser.has_section("hamiltonian.coeffs"):
         coeffs = {}
         for key, value in parser["hamiltonian.coeffs"].items():
@@ -515,7 +519,8 @@ def run_command(args) -> int:
     try:
         for name in checks:
             results.extend(CHECKS[name](ctx))
-    except vonneumann.KernelError as exc:
+    except (vonneumann.KernelError, kvh.EvolutionAborted) as exc:
+        # an ill-conditioned kernel basis or a dt beyond the stability limit
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,19 @@ class NonFiniteFieldError(GridError):
     """Field contains NaN or Inf values."""
 
 
+class EvolutionAborted(RuntimeError):
+    """A time-stepped state went non-finite.
+
+    t is the time of the last finite state the solve yielded, and last_good
+    that state when the solver kept a snapshot of it (else None).
+    """
+
+    def __init__(self, message, t, last_good=None):
+        super().__init__(message)
+        self.t = t
+        self.last_good = last_good
+
+
 def spectral_ik(n: int, spacing: float) -> np.ndarray:
     """i k of the n-point DFT at the given spacing, for spectral derivatives.
 
@@ -149,6 +162,18 @@ class PhaseGrid:
             return _spectral_1d(values, self._ikp, 1, out)
         return _fd4_1d(values, self.dp, 1, out)
 
+    def bracket(self, a, b, values, out=None, work=None) -> np.ndarray:
+        """{F, f} = a ∂_p f - b ∂_q f, for a = ∂F/∂q and b = ∂F/∂p sampled on the grid.
+
+        Written into `out`, with `work` as a temporary, when given; neither may
+        be `values`. The difference is rounded as written.
+        """
+        out = self.ddp(values, out=out)
+        np.multiply(a, out, out=out)
+        work = self.ddq(values, out=work)
+        np.multiply(b, work, out=work)
+        return np.subtract(out, work, out=out)
+
     def integrate_values(self, values: np.ndarray) -> complex | float:
         return values.sum() * (self.dq * self.dp)
 
@@ -181,26 +206,8 @@ class ScalarField:
     def conj(self) -> "ScalarField":
         return ScalarField(self.grid, np.conj(self.values))
 
-    @property
-    def real(self) -> "ScalarField":
-        return ScalarField(self.grid, np.real(self.values))
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return ScalarField(self.grid, self.values + other.values)
-        return ScalarField(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return ScalarField(self.grid, self.values - other.values)
-        return ScalarField(self.grid, self.values - other)
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
@@ -240,10 +247,7 @@ def poisson_bracket(f: ScalarField, g: ScalarField) -> ScalarField:
     _check_finite(f)
     _check_finite(g)
     grid = f.grid
-    values = grid.ddq(f.values) * grid.ddp(g.values) - grid.ddp(f.values) * grid.ddq(
-        g.values
-    )
-    return ScalarField(grid, values)
+    return ScalarField(grid, grid.bracket(grid.ddq(f.values), grid.ddp(f.values), g.values))
 
 
 def integrate(f: ScalarField) -> complex | float:
@@ -263,9 +267,12 @@ def divergence(v_q: ScalarField, v_p: ScalarField) -> ScalarField:
 def time_steps(t_final: float, dt: float):
     """Step count and adjusted step landing exactly on t_final.
 
-    t_final = 0 gives no steps. A negative t_final raises ValueError: the
-    solvers built on this step forward only.
+    t_final = 0 gives no steps. A negative t_final, or a dt that is not a
+    positive finite number, raises ValueError: the solvers built on this
+    step forward only.
     """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt = {dt!r} must be positive and finite")
     if t_final < 0:
         raise ValueError(f"t_final = {t_final!r} is negative; evolution runs forward only")
     if t_final == 0:
@@ -274,32 +281,39 @@ def time_steps(t_final: float, dt: float):
     return n, t_final / n
 
 
-def rk4_steps(rhs, state: tuple, dt: float, n_steps: int):
-    """Step d(state)/dt = rhs(state) by n_steps RK4 steps, yielding after each.
+def rk4_steps(rhs, state: tuple, t_final: float, dt: float, stride: int = 0):
+    """Step d(state)/dt = rhs(state) from t = 0 to t_final by classical RK4.
 
-    state is a tuple of arrays, stepped in place: every step yields that same
-    tuple, overwritten by the next step, so copy the arrays to keep them. rhs
-    is called as rhs(*stage, out=k) and writes the derivative of each
+    The step count and the step landing on t_final come from time_steps.
+    Yields (t, state) after every `stride`-th step (stride 0: none) and after
+    the last one; t_final = 0 yields nothing. A state that turns non-finite
+    raises EvolutionAborted, whose t is that of the last yield (0 before any).
+
+    state is a tuple of arrays, stepped in place: every yield carries that
+    same tuple, overwritten by the next step, so copy the arrays to keep them.
+    rhs is called as rhs(*stage, out=k) and writes the derivative of each
     component into the matching array of the tuple k. The four k tuples and
-    the stage input are allocated once. The stage expressions keep one
-    evaluation order, s + (0.5 dt) k and s + (dt/6) (((k1 + 2 k2) + 2 k3) + k4),
-    so every solver rounds alike.
+    the stage input are allocated once, and released before the last yield.
+    The stage expressions keep one evaluation order, s + (0.5 dt) k and
+    s + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so every solver rounds alike.
     """
-    k1, k2, k3, k4 = (tuple(np.empty_like(s) for s in state) for _ in range(4))
-    stage = tuple(np.empty_like(s) for s in state)
+    n_steps, dt = time_steps(t_final, dt)
+    # k1, k2, k3, k4 and the stage input
+    buffers = [tuple(np.empty_like(s) for s in state) for _ in range(5)]
 
-    def advance(k, h):
+    def advance(k, h, stage):
         for s, dk, x in zip(state, k, stage):
             np.multiply(h, dk, out=x)
             np.add(s, x, out=x)
 
-    for _ in range(n_steps):
+    def rk4_step():
+        k1, k2, k3, k4, stage = buffers
         rhs(*state, out=k1)
-        advance(k1, 0.5 * dt)
+        advance(k1, 0.5 * dt, stage)
         rhs(*stage, out=k2)
-        advance(k2, 0.5 * dt)
+        advance(k2, 0.5 * dt, stage)
         rhs(*stage, out=k3)
-        advance(k3, dt)
+        advance(k3, dt, stage)
         rhs(*stage, out=k4)
         # the stage input and k2 are free now: they hold the weighted sum
         for s, a, b, c, d, x in zip(state, k1, k2, k3, k4, stage):
@@ -310,7 +324,24 @@ def rk4_steps(rhs, state: tuple, dt: float, n_steps: int):
             np.add(x, d, out=x)
             np.multiply(dt / 6, x, out=x)
             np.add(s, x, out=s)
-        yield state
+
+    t_yielded = 0.0
+    for step in range(1, n_steps + 1):
+        # a blow-up is reported once, by EvolutionAborted, not by overflow warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            rk4_step()
+        if not all(np.isfinite(s).all() for s in state):
+            raise EvolutionAborted(
+                f"non-finite state at RK4 step {step} of {n_steps}: "
+                f"dt = {dt:.3g} is likely beyond the stability limit",
+                t_yielded,
+            )
+        if step == n_steps:
+            # what the caller does with the final state needs no stage buffers
+            buffers.clear()
+        if step == n_steps or (stride and step % stride == 0):
+            t_yielded = step * dt
+            yield t_yielded, state
 
 
 def l2_norm(f: ScalarField) -> float:

@@ -209,10 +209,6 @@ class OneForm:
         if not self.a_q.grid.same_geometry(self.a_p.grid):
             raise HamiltonianError("one-form components live on different grids")
 
-    @property
-    def grid(self) -> PhaseGrid:
-        return self.a_q.grid
-
 
 def hamiltonian_vector_field(H: HamiltonianSpec, grid: PhaseGrid):
     """X_H = (dH/dp, -dH/dq) sampled on the grid."""

@@ -17,13 +17,13 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .grid import (
+    EvolutionAborted,
     GridMismatchError,
     PhaseGrid,
     ScalarField,
     integrate,
     l2_norm,
     rk4_steps,
-    time_steps,
 )
 from .hamiltonian import (
     Characteristics,
@@ -31,15 +31,6 @@ from .hamiltonian import (
     PolynomialHamiltonian,
     coefficient_fields,
 )
-
-
-class EvolutionAborted(RuntimeError):
-    """NaN detected during time stepping; carries the last good snapshot."""
-
-    def __init__(self, message, t, last_good):
-        super().__init__(message)
-        self.t = t
-        self.last_good = last_good
 
 
 @dataclass
@@ -109,9 +100,7 @@ def symplectic_form(psi1: WaveFunction, psi2: WaveFunction) -> float:
 def _prequantum(psi: WaveFunction, a, b, lh) -> WaveFunction:
     """iħ (a ∂_pΨ - b ∂_qΨ) - L Ψ, for a = dH/dq, b = dH/dp and L = L_H on the grid."""
     grid = psi.grid
-    dpsi_q = grid.ddq(psi.field.values)
-    dpsi_p = grid.ddp(psi.field.values)
-    values = 1j * psi.hbar * (a * dpsi_p - b * dpsi_q) - lh * psi.field.values
+    values = 1j * psi.hbar * grid.bracket(a, b, psi.field.values) - lh * psi.field.values
     return WaveFunction(ScalarField(grid, values), psi.hbar)
 
 
@@ -158,6 +147,8 @@ def evolve(
     """Time-step the wavefunction transport equation with classical RK4.
 
     stride: snapshot every `stride` steps (0 keeps only start and end).
+    A non-finite step raises EvolutionAborted carrying the last snapshot
+    and its time.
     """
     grid = psi0.grid
     hbar = psi0.hbar
@@ -167,12 +158,10 @@ def evolve(
     work = np.empty((grid.n_q, grid.n_p), complex)
 
     def rhs(values, out):
-        # a ∂ₚΨ - b ∂_qΨ + (i/ħ) L_H Ψ, rounded as written left to right;
+        # {H, Ψ} + (i/ħ) L_H Ψ, rounded as written left to right;
         # rk4_steps steps a tuple of fields, here the wavefunction alone
         (d,) = out
-        np.multiply(a, grid.ddp(values, out=d), out=d)
-        np.multiply(b, grid.ddq(values, out=work), out=work)
-        np.subtract(d, work, out=d)
+        grid.bracket(a, b, values, out=d, work=work)
         np.multiply(phase_rate, values, out=work)
         np.add(d, work, out=d)
 
@@ -183,9 +172,6 @@ def evolve(
             RuntimeWarning,
         )
 
-    n_steps, dt = time_steps(t_final, dt)
-    values = psi0.field.values.astype(complex)
-
     def snap(t, v):
         psi = WaveFunction(ScalarField(grid, v.copy()), hbar)
         traj.times.append(t)
@@ -195,16 +181,14 @@ def evolve(
             traj.energies.append(kvh_energy(H, psi))
 
     traj = Trajectory(times=[], snapshots=[])
-    snap(0.0, values)
-    for step, (values,) in enumerate(rk4_steps(rhs, (values,), dt, n_steps), start=1):
-        if not np.all(np.isfinite(values)):
-            raise EvolutionAborted(
-                f"NaN detected at step {step}", (step - 1) * dt, traj.final()
-            )
-        if stride and step % stride == 0 and step != n_steps:
-            snap(step * dt, values)
-    if n_steps > 0:
-        snap(n_steps * dt, values)
+    state = (psi0.field.values.astype(complex),)
+    snap(0.0, state[0])
+    try:
+        for t, (values,) in rk4_steps(rhs, state, t_final, dt, stride):
+            snap(t, values)
+    except EvolutionAborted as exc:
+        exc.last_good = traj.final()
+        raise
     return traj
 
 

@@ -9,32 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import PhaseGrid, ScalarField, rk4_steps, time_steps
+from .grid import ScalarField, rk4_steps
 from .hamiltonian import Characteristics, HamiltonianSpec, coefficient_fields
 from .kvh import interpolate_field
 
 
-def _bracket_rhs(H: HamiltonianSpec, g: PhaseGrid, dtype=float):
-    """rhs(values, out=(d,)) writing {H, values} into d, for fields of `dtype`
-    on g, with the coefficients sampled once."""
-    a, b, _ = coefficient_fields(H, g)
-    work = np.empty((g.n_q, g.n_p), dtype)
-
-    def rhs(values, out):
-        (d,) = out
-        np.multiply(a, g.ddp(values, out=d), out=d)
-        np.multiply(b, g.ddq(values, out=work), out=work)
-        np.subtract(d, work, out=d)
-
-    return rhs
-
-
 def liouville_rhs(rho: ScalarField, H: HamiltonianSpec) -> ScalarField:
     """{H, rho} with closed-form Hamiltonian partials."""
-    dtype = np.result_type(rho.values, 1.0)
-    drho = np.empty(rho.values.shape, dtype)
-    _bracket_rhs(H, rho.grid, dtype)(rho.values, out=(drho,))
-    return ScalarField(rho.grid, drho)
+    a, b, _ = coefficient_fields(H, rho.grid)
+    return ScalarField(rho.grid, rho.grid.bracket(a, b, rho.values))
 
 
 def evolve_pushforward(rho0: ScalarField, ch: Characteristics) -> ScalarField:
@@ -57,11 +40,16 @@ def evolve_pushforward(rho0: ScalarField, ch: Characteristics) -> ScalarField:
 def evolve_spectral(
     rho0: ScalarField, H: HamiltonianSpec, t_final: float, dt: float
 ) -> ScalarField:
-    """RK4 cross-check for the semi-Lagrangian scheme."""
+    """RK4 cross-check for the semi-Lagrangian scheme; a non-finite step
+    raises EvolutionAborted."""
     g = rho0.grid
-    rhs = _bracket_rhs(H, g)
+    a, b, _ = coefficient_fields(H, g)
+    work = np.empty((g.n_q, g.n_p))
+
+    def rhs(values, out):
+        g.bracket(a, b, values, out=out[0], work=work)
+
     state = (rho0.values.astype(float),)
-    n_steps, dt = time_steps(t_final, dt)
-    for state in rk4_steps(rhs, state, dt, n_steps):
+    for _ in rk4_steps(rhs, state, t_final, dt):
         pass
     return ScalarField(g, state[0])

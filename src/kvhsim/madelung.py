@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .grid import (
     divergence,
     poisson_bracket,
     rk4_steps,
-    time_steps,
 )
 from .hamiltonian import (
     HamiltonianSpec,
@@ -172,24 +172,17 @@ def _polar_rhs(pair: PolarPair, H: HamiltonianSpec):
     a, b, lh = coefficient_fields(H, g)
     work = np.empty((g.n_q, g.n_p))
 
-    def bracket(f, out):
-        # {f,H} with closed-form H partials: dq(f) b - dp(f) a
-        np.multiply(g.ddq(f, out=out), b, out=out)
-        np.multiply(g.ddp(f, out=work), a, out=work)
-        np.subtract(out, work, out=out)
-
     def rhs(S, D, out):
         dS, dD = out
-        bracket(S, dS)
-        np.subtract(lh, dS, out=dS)
-        bracket(D, dD)
-        np.negative(dD, out=dD)
+        g.bracket(a, b, S, out=dS, work=work)
+        np.add(lh, dS, out=dS)
+        g.bracket(a, b, D, out=dD, work=work)
 
     return rhs
 
 
 def madelung_rhs(pair: PolarPair, H: HamiltonianSpec):
-    """Polar-variable transport: dS/dt = L_H - {S,H}, dD/dt = -{D,H}."""
+    """Polar-variable transport: dS/dt = L_H + {H,S}, dD/dt = {H,D}."""
     g = pair.S.grid
     rhs = _polar_rhs(pair, H)
     dS, dD = np.empty((g.n_q, g.n_p)), np.empty((g.n_q, g.n_p))
@@ -198,47 +191,44 @@ def madelung_rhs(pair: PolarPair, H: HamiltonianSpec):
 
 
 def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float, stride: int = 0):
-    """RK4 evolution of an unmasked polar pair; returns (times, snapshots)."""
+    """RK4 evolution of an unmasked polar pair; returns (times, snapshots),
+    a snapshot every `stride` steps and at t_final. A non-finite step raises
+    EvolutionAborted."""
     rhs = _polar_rhs(pair, H)
     g = pair.S.grid
-    S = pair.S.values.astype(float)
-    D = pair.D.values.astype(float)
-    n_steps, dt = time_steps(t_final, dt)
-    times = [0.0]
-    snaps = [PolarPair(ScalarField(g, S.copy()), ScalarField(g, D.copy()))]
-    for step, (S, D) in enumerate(rk4_steps(rhs, (S, D), dt, n_steps), start=1):
-        if (stride and step % stride == 0) or step == n_steps:
-            times.append(step * dt)
-            snaps.append(PolarPair(ScalarField(g, S.copy()), ScalarField(g, D.copy())))
+    state = (pair.S.values.astype(float), pair.D.values.astype(float))
+    times, snaps = [], []
+    for t, (S, D) in chain([(0.0, state)], rk4_steps(rhs, state, t_final, dt, stride)):
+        times.append(t)
+        snaps.append(PolarPair(ScalarField(g, S.copy()), ScalarField(g, D.copy())))
     return times, snaps
 
 
 def _lie_coefficients(H: HamiltonianSpec, g: PhaseGrid):
-    """X_H = (Xq, Xp) on the grid and its Jacobian rows
-    ((d_q Xq, d_q Xp), (d_p Xq, d_p Xp))."""
+    """(dH/dq, dH/dp) on the grid, so X_H = (dH/dp, -dH/dq), and the Jacobian
+    rows of X_H ((d_q Xq, d_q Xp), (d_p Xq, d_p Xp))."""
     if H.h_qq is None or H.h_qp is None or H.h_pp is None:
         raise ValueError(f"{H.name}: second partials required for Lie-derivative transport")
     a, b, _ = coefficient_fields(H, g)
     h_qq = self_broadcast(H.h_qq(g.Q, g.P), g)
     h_qp = self_broadcast(H.h_qp(g.Q, g.P), g)
     h_pp = self_broadcast(H.h_pp(g.Q, g.P), g)
-    return b, -a, ((h_qp, -h_qq), (h_pp, -h_qp))
+    return a, b, ((h_qp, -h_qq), (h_pp, -h_qp))
 
 
 def _lie_derivative_one_form(tau_q, tau_p, coeffs, g: PhaseGrid, out=None, work=None):
-    """Coordinate formula (£_X tau)_i = X·grad(tau_i) + tau_j d_i X^j for X = X_H.
+    """Coordinate formula (£_X tau)_i = X·grad(tau_i) + tau_j d_i X^j for X = X_H,
+    with the advection X_H·grad(tau_i) = -{H, tau_i}.
 
     Written into the pair `out`, with `work` as a temporary, when given; each
     sum is rounded left to right as written.
     """
-    Xq, Xp, jacobian = coeffs
+    a, b, jacobian = coeffs
     if out is None:
         out = np.empty_like(tau_q), np.empty_like(tau_q)
         work = np.empty_like(tau_q)
     for lie, tau, (dXq, dXp) in zip(out, (tau_q, tau_p), jacobian):
-        np.multiply(Xq, g.ddq(tau, out=lie), out=lie)
-        np.multiply(Xp, g.ddp(tau, out=work), out=work)
-        np.add(lie, work, out=lie)
+        np.negative(g.bracket(a, b, tau, out=lie, work=work), out=lie)
         np.add(lie, np.multiply(tau_q, dXq, out=work), out=lie)
         np.add(lie, np.multiply(tau_p, dXp, out=work), out=lie)
     return out
@@ -278,7 +268,7 @@ def _hydro_rhs(H: HamiltonianSpec, g: PhaseGrid):
     """rhs(sigma_q, sigma_p, D, out) writing their time derivatives into the
     triple `out`, coefficients sampled once."""
     coeffs = _lie_coefficients(H, g)
-    Xq, Xp = coeffs[:2]
+    Xq, Xp = coeffs[1], -coeffs[0]
     tau_q, work, work2 = (np.empty((g.n_q, g.n_p)) for _ in range(3))
 
     def rhs(sq, sp, D, out):
@@ -315,7 +305,7 @@ def hydro_rhs(h: HydroState, H: HamiltonianSpec) -> HydroState:
 
 
 def evolve_hydro(h0: HydroState, H: HamiltonianSpec, t_final: float, dt: float) -> HydroState:
-    """RK4 time stepping of hydro_rhs."""
+    """RK4 time stepping of hydro_rhs; a non-finite step raises EvolutionAborted."""
     g = h0.grid
     rhs = _hydro_rhs(H, g)
     state = (
@@ -323,8 +313,7 @@ def evolve_hydro(h0: HydroState, H: HamiltonianSpec, t_final: float, dt: float) 
         h0.sigma.a_p.values.astype(float),
         h0.D.values.astype(float),
     )
-    n_steps, dt = time_steps(t_final, dt)
-    for state in rk4_steps(rhs, state, dt, n_steps):
+    for _ in rk4_steps(rhs, state, t_final, dt):
         pass
     return _pack_hydro(g, *state)
 

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .grid import spectral_ik, time_steps
+from .grid import _spectral_1d, spectral_ik, time_steps
 
 
 @dataclass(eq=False)
@@ -43,8 +43,7 @@ class LineGrid:
         return 2 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     def ddx(self, values: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft(self._ik * np.fft.fft(values))
-        return out.real if np.isrealobj(values) else out
+        return _spectral_1d(values, self._ik, 0)
 
     def integrate(self, values: np.ndarray):
         return values.sum() * self.dx

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import PERIODIC, PhaseGrid, ScalarField, spectral_ik, time_steps
+from .grid import PERIODIC, EvolutionAborted, PhaseGrid, ScalarField, spectral_ik, time_steps
 from .hamiltonian import (
     Characteristics,
     HamiltonianSpec,
@@ -203,7 +203,7 @@ def evolve_kernel(
     by up to kappa_1(V) = |V|_1 |V^-1|_1: a KernelError is raised when
     kappa_1(V) * eps exceeds 1e-10 (nonnormal one-sided stencils, e.g.
     the free Hamiltonian on FD4). A dt beyond the RK4 stability limit
-    raises RuntimeError.
+    raises EvolutionAborted (a RuntimeError) at t = 0.
 
     method "characteristics" conjugates by the backward-flow propagator in
     one shot (dt then controls the flow integration only). It is the
@@ -237,9 +237,10 @@ def evolve_kernel(
         gain = _rk4_stability(dt * (lam[:, None] - lam[None, :])) ** n_steps
         K = V @ (gain * (V_inv @ theta0.K @ V)) @ V_inv
     if not np.all(np.isfinite(K)):
-        raise RuntimeError(
+        raise EvolutionAborted(
             f"non-finite kernel after {n_steps} RK4 steps: "
-            f"dt = {dt:.3g} exceeds the stability limit"
+            f"dt = {dt:.3g} exceeds the stability limit",
+            0.0,
         )
     return VNKernel(theta0.grid, K, theta0.hbar)
 

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from kvhsim.grid import (
     FD4,
     PERIODIC,
+    EvolutionAborted,
     GridError,
     GridMismatchError,
     NonFiniteFieldError,
@@ -141,6 +142,17 @@ class TestBracketAndMeasure:
         c = ScalarField(g, np.full((16, 16), 2.5))
         assert np.max(np.abs(poisson_bracket(f, c).values)) < 1e-12
 
+    @pytest.mark.parametrize("bc", [PERIODIC, FD4])
+    def test_in_place_bracket_matches_the_formula(self, bc):
+        g = PhaseGrid(-2, 2, -3, 3, 12, 10, bc)
+        a, b = np.sin(g.Q) * g.P, np.cos(g.P) + g.Q
+        for values in (np.cos(g.Q + 2 * g.P), np.exp(1j * g.Q * g.P)):
+            expected = a * g.ddp(values) - b * g.ddq(values)
+            out, work = np.empty_like(values), np.empty_like(values)
+            assert g.bracket(a, b, values, out=out, work=work) is out
+            assert np.array_equal(out, expected)
+            assert np.array_equal(g.bracket(a, b, values), expected)
+
     def test_grid_mismatch_rejected(self):
         f = ScalarField(make_grid(16), np.zeros((16, 16)))
         h = ScalarField(make_grid(16, lo=0.0, hi=1.0), np.zeros((16, 16)))
@@ -173,6 +185,12 @@ class TestTimeSteps:
         with pytest.raises(ValueError, match="negative"):
             time_steps(-1.0, 1e-3)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, -0.0, math.inf, -math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, dt):
+        for t_final in (0.0, 1.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                time_steps(t_final, dt)
+
     @given(
         t=st.floats(1e-3, 1e3, allow_nan=False),
         dt=st.floats(1e-5, 1.0, allow_nan=False),
@@ -193,9 +211,11 @@ class TestRK4Steps:
         def rhs(y, out):
             np.multiply(lam, y, out=out[0])
 
-        states = list(rk4_steps(rhs, (np.ones(4, dtype=complex),), dt, n))
-        assert len(states) == n
-        np.testing.assert_allclose(states[-1][0], p**n, rtol=1e-13, atol=0)
+        y = np.ones(4, dtype=complex)
+        finals = [(t, s[0].copy()) for t, s in rk4_steps(rhs, (y,), n * dt, dt, stride=10)]
+        assert [t for t, _ in finals] == pytest.approx([0.5, 1.0, 1.5, 2.0], rel=1e-15)
+        for k, (_, state) in enumerate(finals, start=1):
+            np.testing.assert_allclose(state, p ** (10 * k), rtol=1e-13, atol=0)
 
     def test_two_component_state_is_fourth_order(self):
         # oscillator x' = v, v' = -x from (1, 0): exact (cos t, -sin t) at t = 1
@@ -205,7 +225,8 @@ class TestRK4Steps:
 
         def error(dt):
             start = (np.array([1.0]), np.array([0.0]))
-            *_, (x, v) = rk4_steps(rhs, start, dt, round(1.0 / dt))
+            ((t, (x, v)),) = rk4_steps(rhs, start, 1.0, dt)
+            assert t == pytest.approx(1.0, rel=1e-15)
             return max(abs(x[0] - math.cos(1.0)), abs(v[0] + math.sin(1.0)))
 
         assert error(0.1) / error(0.05) >= 12
@@ -222,11 +243,32 @@ class TestRK4Steps:
             try:
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
-                for stepped in rk4_steps(rhs, state, 1e-3, n_steps):
+                steps = 0
+                for _, stepped in rk4_steps(rhs, state, n_steps * 1e-3, 1e-3, stride=1):
                     assert stepped is state and stepped[0] is state[0]
+                    steps += 1
+                assert steps == n_steps
                 return tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
 
         size = g.n_q * g.n_p * np.dtype(complex).itemsize
         assert peak(200) <= peak(20) + size
+
+    def test_zero_horizon_yields_nothing(self):
+        def rhs(y, out):
+            np.copyto(out[0], y)
+
+        assert list(rk4_steps(rhs, (np.ones(3),), 0.0, 0.1, stride=1)) == []
+
+    def test_non_finite_state_raises_with_the_last_yielded_time(self):
+        # y' = 10 y at dt 2 grows by p(20) ≈ 8.2e3 a step and overflows near step 79
+        def rhs(y, out):
+            np.multiply(10.0, y, out=out[0])
+
+        times = []
+        with pytest.raises(EvolutionAborted, match="non-finite state at RK4 step") as info:
+            for t, _ in rk4_steps(rhs, (np.ones(2),), 400.0, 2.0, stride=25):
+                times.append(t)
+        assert times == [50.0, 100.0, 150.0]
+        assert info.value.t == 150.0 and info.value.last_good is None

@@ -1,5 +1,7 @@
 """Serialization formats and the command-line harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -234,8 +236,15 @@ class TestCommandLine:
 
     @pytest.mark.parametrize(
         "run_lines, grid_lines",
-        [("bc = bogus", ""), ("hamiltonian = nosuch", ""), ("", "q_min = 2\nq_max = -2")],
-        ids=["bc", "hamiltonian", "bounds"],
+        [
+            ("bc = bogus", ""),
+            ("hamiltonian = nosuch", ""),
+            ("", "q_min = 2\nq_max = -2"),
+            ("t_finl = 0.01", ""),
+            ("", "n_qq = 16"),
+            ("", "[grdi]\nn_q = 16"),
+        ],
+        ids=["bc", "hamiltonian", "bounds", "run-key", "grid-key", "section"],
     )
     def test_late_config_error_is_one_line_usage_error(self, tmp_path, capsys, run_lines, grid_lines):
         ini = tmp_path / "run.ini"
@@ -249,6 +258,23 @@ class TestCommandLine:
         assert err.startswith("configuration error: ")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, check, t_final, message",
+        [("free-kvh", "unitarity", "200", "non-finite state"),
+         ("point-particle", "vonneumann", "50", "non-finite kernel")],
+    )
+    def test_unstable_solve_is_one_line_usage_error(self, tmp_path, capsys, scenario, check, t_final, message):
+        argv = ["run", "--scenario", scenario, "--check", check, "--dt", "0.5",
+                "--t-final", t_final, "--outdir", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            # the advisory CFL warning of the wavefunction solve is not under test
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = cli.main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}")
+        assert len(err.strip().splitlines()) == 1
 
     def test_kernel_error_is_one_line_usage_error(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"

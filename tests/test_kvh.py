@@ -140,12 +140,22 @@ class TestEvolution:
         with pytest.raises(ValueError, match="negative"):
             evolve(scenario_hamiltonian("free"), psi, -0.5, 1e-2, record_energy=False)
 
-    def test_instability_aborts(self, grid):
+    @pytest.mark.parametrize("stride", [0, 7])
+    def test_instability_aborts(self, grid, stride):
         # a grossly unstable step produces overflow then NaN, not garbage
         H = scenario_hamiltonian("harmonic")
         psi = gaussian_wavepacket(grid, sigma=(0.5, 0.5))
-        with pytest.raises(EvolutionAborted), np.errstate(all="ignore"), pytest.warns(RuntimeWarning):
-            evolve(H, psi, 50.0, 0.5, record_energy=False)
+        with pytest.raises(EvolutionAborted) as info, np.errstate(all="ignore"), pytest.warns(RuntimeWarning):
+            evolve(H, psi, 50.0, 0.5, stride=stride, record_energy=False)
+        # t is the time of last_good, the last snapshot the solve kept
+        exc = info.value
+        if stride == 0:
+            assert exc.t == 0.0
+        else:
+            assert exc.t > 0 and exc.t % (0.5 * stride) == 0
+        with pytest.warns(RuntimeWarning):
+            again = evolve(H, psi, exc.t, 0.5, record_energy=False).final()
+        assert np.array_equal(exc.last_good.field.values, again.field.values)
 
 
 class TestCharacteristics:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kvhsim.grid import GridMismatchError, PhaseGrid, ScalarField, l1_norm, integrate
+from kvhsim.grid import FD4, EvolutionAborted, GridMismatchError, PhaseGrid, ScalarField, l1_norm, integrate
 from kvhsim.hamiltonian import DomainExitError, backward_characteristics, scenario_hamiltonian
 from kvhsim.liouville import evolve_pushforward, evolve_spectral, liouville_rhs
 
@@ -69,3 +69,11 @@ def test_full_period_returns_initial(grid, rho0):
     H = scenario_hamiltonian("harmonic")
     out = evolve_pushforward(rho0, backward_characteristics(H, grid, 2 * np.pi, 1e-3, "zero"))
     assert l1_norm(ScalarField(grid, out.values - rho0.values)) < 1e-7
+
+
+def test_spectral_unstable_step_raises():
+    # dt 0.5 on 32 nodes is far beyond the RK4 limit; the density overflows to NaN
+    g = PhaseGrid(-8, 8, -8, 8, 32, 32, FD4)
+    rho = ScalarField(g, np.exp(-((g.Q - 0.5) ** 2 + (g.P - 0.3) ** 2) / (2 * 0.8**2)))
+    with pytest.raises(EvolutionAborted, match="non-finite state"):
+        evolve_spectral(rho, scenario_hamiltonian("harmonic"), 200.0, 0.5)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from kvhsim.grid import FD4, PhaseGrid, ScalarField, integrate, l1_norm
-from kvhsim.hamiltonian import scenario_hamiltonian
+from kvhsim.grid import FD4, EvolutionAborted, PhaseGrid, ScalarField, integrate, l1_norm
+from kvhsim.hamiltonian import OneForm, scenario_hamiltonian
 from kvhsim.kvh import gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import (
+    HydroState,
     MaskedPhaseError,
     PolarPair,
     classical_density,
@@ -138,6 +139,19 @@ class TestPolarEvolution:
         # coarse 48-node grid; the gap shrinks by ~16x per refinement
         assert np.max(np.abs(h_t.sigma.a_q.values - ref_q)) / scale < 2e-2
         np.testing.assert_allclose(h_t.D.values, p_t.D.values, atol=1e-5)
+
+    def test_unstable_step_raises(self):
+        # dt 0.5 on 32 nodes is far beyond the RK4 limit; the pair overflows to NaN
+        g, pair = polar_pair(32)
+        H = scenario_hamiltonian("harmonic")
+        sigma0 = OneForm(
+            ScalarField(g, pair.D.values * g.ddq(pair.S.values)),
+            ScalarField(g, pair.D.values * g.ddp(pair.S.values)),
+        )
+        with pytest.raises(EvolutionAborted, match="non-finite state"):
+            evolve_polar(pair, H, 200.0, 0.5)
+        with pytest.raises(EvolutionAborted, match="non-finite state"):
+            evolve_hydro(HydroState(sigma0, pair.D), H, 200.0, 0.5)
 
     def test_second_partials_required(self):
         g, pair = polar_pair(24)

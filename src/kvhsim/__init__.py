@@ -32,7 +32,6 @@ from .kvh import (
     gaussian_wavepacket,
     hermitian_inner,
     kvh_energy,
-    kvh_rhs,
     symplectic_form,
 )
 

@@ -77,8 +77,9 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("dt", "t_final", "hbar"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.n_q <= 0 or self.n_p <= 0:
             raise ConfigError("grid sample counts must be positive")
         if self.scenario not in SCENARIOS:
@@ -430,7 +431,8 @@ def load_config(path) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
+    # [DEFAULT] keys would leak into every section; reject them as a section
+    for section in parser.sections() + (["DEFAULT"] if parser.defaults() else []):
         if section not in CONFIG_SECTIONS:
             raise ConfigError(f"unknown section [{section}]; available: {list(CONFIG_SECTIONS)}")
     kwargs = {}

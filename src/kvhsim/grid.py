@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.ndimage import map_coordinates
 
 PERIODIC = "periodic"
 FD4 = "fd4"
@@ -264,15 +265,33 @@ def divergence(v_q: ScalarField, v_p: ScalarField) -> ScalarField:
     return ScalarField(grid, grid.ddq(v_q.values) + grid.ddp(v_p.values))
 
 
+def interpolate(values: np.ndarray, coords) -> np.ndarray:
+    """Periodic bicubic spline of `values` at fractional node indices `coords`
+    (one row per axis); a complex field is interpolated by real and imaginary parts."""
+    if values.dtype.kind == "c":
+        re = map_coordinates(values.real, coords, order=3, mode="grid-wrap")
+        im = map_coordinates(values.imag, coords, order=3, mode="grid-wrap")
+        return re + 1j * im
+    return map_coordinates(values, coords, order=3, mode="grid-wrap")
+
+
+def interpolate_field(f: ScalarField, q, p) -> np.ndarray:
+    """f at the phase-space points (q, p), by periodic bicubic interpolation."""
+    g = f.grid
+    return interpolate(f.values, np.array([(q - g.q_min) / g.dq, (p - g.p_min) / g.dp]))
+
+
 def time_steps(t_final: float, dt: float):
     """Step count and adjusted step landing exactly on t_final.
 
-    t_final = 0 gives no steps. A negative t_final, or a dt that is not a
-    positive finite number, raises ValueError: the solvers built on this
-    step forward only.
+    t_final = 0 gives no steps. A negative or non-finite t_final, or a dt
+    that is not a positive finite number, raises ValueError: the solvers
+    built on this step forward only, over a finite horizon.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt = {dt!r} must be positive and finite")
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final = {t_final!r} must be finite")
     if t_final < 0:
         raise ValueError(f"t_final = {t_final!r} is negative; evolution runs forward only")
     if t_final == 0:

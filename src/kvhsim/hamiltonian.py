@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import GridMismatchError, PhaseGrid, ScalarField
+from .grid import GridMismatchError, PhaseGrid, ScalarField, interpolate_field
 
 Func2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -318,9 +318,22 @@ class Characteristics:
     action: np.ndarray
     exited: np.ndarray
 
-    def check_grid(self, grid: PhaseGrid) -> None:
-        if grid is not self.grid and not grid.same_geometry(self.grid):
+    def pullback(self, f: ScalarField) -> ScalarField:
+        """f composed with the backward flow: f interpolated (bicubic) at the
+        foot points, zero at exited nodes; an exact copy at t = 0.
+
+        f must live on the grid the characteristics were flowed on.
+        """
+        if f.grid is not self.grid and not f.grid.same_geometry(self.grid):
             raise GridMismatchError("characteristics were flowed on a different grid")
+        if self.t == 0:
+            return f.copy()
+        values = interpolate_field(f, self.q0, self.p0)
+        return ScalarField(f.grid, np.where(self.exited, 0.0, values))
+
+    def phase(self, hbar: float) -> np.ndarray:
+        """exp(-i action / ħ) at every node: one at t = 0 and at exited nodes."""
+        return np.exp(-1j * self.action / hbar)
 
 
 def check_on_exit(on_exit: str) -> None:
@@ -335,7 +348,7 @@ def backward_characteristics(
 
     on_exit "error" raises DomainExitError with the `indices` of every exited
     node; "zero" moves exited foot points to the box corner with zero action,
-    for callers that zero those nodes after interpolating.
+    and `pullback` zeroes those nodes.
     """
     check_on_exit(on_exit)
     q0, p0, action = flow_with_action(H, -t, grid.Q, grid.P, dt)

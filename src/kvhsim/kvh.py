@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .grid import (
     EvolutionAborted,
@@ -22,6 +21,7 @@ from .grid import (
     PhaseGrid,
     ScalarField,
     integrate,
+    interpolate_field,  # noqa: F401  perfbench traces it under this module's name
     l2_norm,
     rk4_steps,
 )
@@ -109,14 +109,6 @@ def apply_prequantum(H: HamiltonianSpec, psi: WaveFunction) -> WaveFunction:
     return _prequantum(psi, *coefficient_fields(H, psi.grid))
 
 
-def kvh_rhs(H: HamiltonianSpec, psi: WaveFunction) -> WaveFunction:
-    """Right-hand side of the wavefunction transport: {H,Ψ} + (i/ħ) L_H Ψ."""
-    lhpsi = apply_prequantum(H, psi)
-    return WaveFunction(
-        ScalarField(psi.grid, (-1j / psi.hbar) * lhpsi.field.values), psi.hbar
-    )
-
-
 @dataclass
 class Trajectory:
     """Snapshots of an evolution, plus per-snapshot conserved quantities."""
@@ -144,7 +136,8 @@ def evolve(
     stride: int = 0,
     record_energy: bool = True,
 ) -> Trajectory:
-    """Time-step the wavefunction transport equation with classical RK4.
+    """Time-step the wavefunction transport dΨ/dt = {H, Ψ} + (i/ħ) L_H Ψ with
+    classical RK4.
 
     stride: snapshot every `stride` steps (0 keeps only start and end).
     A non-finite step raises EvolutionAborted carrying the last snapshot
@@ -192,33 +185,15 @@ def evolve(
     return traj
 
 
-def interpolate_field(f: ScalarField, q, p) -> np.ndarray:
-    """Bicubic spline interpolation with periodic wrapping."""
-    g = f.grid
-    coords = np.array([(q - g.q_min) / g.dq, (p - g.p_min) / g.dp])
-    if f.values.dtype.kind == "c":
-        re = map_coordinates(f.values.real, coords, order=3, mode="grid-wrap")
-        im = map_coordinates(f.values.imag, coords, order=3, mode="grid-wrap")
-        return re + 1j * im
-    return map_coordinates(f.values, coords, order=3, mode="grid-wrap")
-
-
 def characteristics_oracle(psi0: WaveFunction, ch: Characteristics) -> WaveFunction:
-    """Exact KvH solution by the method of characteristics.
+    """Exact KvH solution by the method of characteristics: the pullback of
+    psi0 along `ch` times the accumulated-action phase exp(-i action/ħ).
 
-    The wavefunction is interpolated (bicubic) at each node's backward foot
-    point in `ch` and multiplied by the accumulated-action phase; nodes whose
-    characteristic left the box are zero. `ch` must be flowed on psi0's grid.
+    Nodes whose characteristic left the box are zero. `ch` must be flowed on
+    psi0's grid.
     """
-    grid = psi0.grid
-    ch.check_grid(grid)
-    if ch.t == 0:
-        return psi0.copy()
-    values = np.exp(-1j * ch.action / psi0.hbar) * interpolate_field(
-        psi0.field, ch.q0, ch.p0
-    )
-    values = np.where(ch.exited, 0.0, values)
-    return WaveFunction(ScalarField(grid, values), psi0.hbar)
+    values = ch.phase(psi0.hbar) * ch.pullback(psi0.field).values
+    return WaveFunction(ScalarField(psi0.grid, values), psi0.hbar)
 
 
 def kvh_energy(H: HamiltonianSpec, psi: WaveFunction) -> float:

@@ -163,9 +163,12 @@ class MaskedPhaseError(ValueError):
     """Operation requires a globally defined smooth phase."""
 
 
-def _polar_rhs(pair: PolarPair, H: HamiltonianSpec):
-    """rhs(S, D, out=(dS, dD)) writing the time derivatives on the pair's grid,
-    coefficients sampled once."""
+def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float, stride: int = 0):
+    """RK4 evolution of the polar-variable transport
+        dS/dt = L_H + {H, S},  dD/dt = {H, D}
+    for an unmasked pair, coefficients sampled once; returns (times,
+    snapshots), a snapshot every `stride` steps and at t_final. A masked
+    pair raises MaskedPhaseError, a non-finite step EvolutionAborted."""
     if pair.mask is not None:
         raise MaskedPhaseError("masked polar decomposition not accepted; supply smooth S")
     g = pair.S.grid
@@ -178,24 +181,6 @@ def _polar_rhs(pair: PolarPair, H: HamiltonianSpec):
         np.add(lh, dS, out=dS)
         g.bracket(a, b, D, out=dD, work=work)
 
-    return rhs
-
-
-def madelung_rhs(pair: PolarPair, H: HamiltonianSpec):
-    """Polar-variable transport: dS/dt = L_H + {H,S}, dD/dt = {H,D}."""
-    g = pair.S.grid
-    rhs = _polar_rhs(pair, H)
-    dS, dD = np.empty((g.n_q, g.n_p)), np.empty((g.n_q, g.n_p))
-    rhs(pair.S.values, pair.D.values, out=(dS, dD))
-    return ScalarField(g, dS), ScalarField(g, dD)
-
-
-def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float, stride: int = 0):
-    """RK4 evolution of an unmasked polar pair; returns (times, snapshots),
-    a snapshot every `stride` steps and at t_final. A non-finite step raises
-    EvolutionAborted."""
-    rhs = _polar_rhs(pair, H)
-    g = pair.S.grid
     state = (pair.S.values.astype(float), pair.D.values.astype(float))
     times, snaps = [], []
     for t, (S, D) in chain([(0.0, state)], rk4_steps(rhs, state, t_final, dt, stride)):
@@ -264,9 +249,14 @@ def one_form_transport_residual(snapshots, times, H: HamiltonianSpec):
     return out
 
 
-def _hydro_rhs(H: HamiltonianSpec, g: PhaseGrid):
-    """rhs(sigma_q, sigma_p, D, out) writing their time derivatives into the
-    triple `out`, coefficients sampled once."""
+def evolve_hydro(h0: HydroState, H: HamiltonianSpec, t_final: float, dt: float) -> HydroState:
+    """RK4 time stepping of the Lie-Poisson hydrodynamic system: transport of
+    tau = sigma - D A by
+        d tau/dt + £_{X_H} tau = 0,  dD/dt + div(D X_H) = 0,
+    assembled back in (sigma, D) variables, coefficients sampled once.
+    A non-finite step raises EvolutionAborted.
+    """
+    g = h0.grid
     coeffs = _lie_coefficients(H, g)
     Xq, Xp = coeffs[1], -coeffs[0]
     tau_q, work, work2 = (np.empty((g.n_q, g.n_p)) for _ in range(3))
@@ -286,28 +276,6 @@ def _hydro_rhs(H: HamiltonianSpec, g: PhaseGrid):
         np.add(np.negative(lie_q, out=lie_q), np.multiply(dD, g.P, out=work), out=lie_q)
         np.negative(lie_p, out=lie_p)
 
-    return rhs
-
-
-def _pack_hydro(g: PhaseGrid, sq, sp, D) -> HydroState:
-    return HydroState(OneForm(ScalarField(g, sq), ScalarField(g, sp)), ScalarField(g, D))
-
-
-def hydro_rhs(h: HydroState, H: HamiltonianSpec) -> HydroState:
-    """Lie-Poisson evolution: transport of tau = sigma - D A, continuity for D.
-
-    Returns the time derivative assembled back in (sigma, D) variables.
-    """
-    g = h.grid
-    out = tuple(np.empty((g.n_q, g.n_p)) for _ in range(3))
-    _hydro_rhs(H, g)(h.sigma.a_q.values, h.sigma.a_p.values, h.D.values, out=out)
-    return _pack_hydro(g, *out)
-
-
-def evolve_hydro(h0: HydroState, H: HamiltonianSpec, t_final: float, dt: float) -> HydroState:
-    """RK4 time stepping of hydro_rhs; a non-finite step raises EvolutionAborted."""
-    g = h0.grid
-    rhs = _hydro_rhs(H, g)
     state = (
         h0.sigma.a_q.values.astype(float),
         h0.sigma.a_p.values.astype(float),
@@ -315,7 +283,8 @@ def evolve_hydro(h0: HydroState, H: HamiltonianSpec, t_final: float, dt: float) 
     )
     for _ in rk4_steps(rhs, state, t_final, dt):
         pass
-    return _pack_hydro(g, *state)
+    sq, sp, D = state
+    return HydroState(OneForm(ScalarField(g, sq), ScalarField(g, sp)), ScalarField(g, D))
 
 
 def hydro_energy(h: HydroState, H: HamiltonianSpec) -> float:

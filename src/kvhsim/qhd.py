@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
-from .grid import _spectral_1d, spectral_ik, time_steps
+from .grid import _spectral_1d, interpolate, spectral_ik, time_steps
 
 
 @dataclass(eq=False)
@@ -200,8 +199,6 @@ def apply_point_transform(psi: QWaveFunction, a: float, b: float, phi: float) ->
         raise ValueError("affine map must be orientation preserving")
     g = psi.grid
     x_pre = (g.x - b) / a
-    coords = np.array([(x_pre - g.x_min) / g.dx])
-    re = map_coordinates(psi.values.real, coords, order=3, mode="grid-wrap")
-    im = map_coordinates(psi.values.imag, coords, order=3, mode="grid-wrap")
-    values = (re + 1j * im) * np.exp(-1j * phi / psi.hbar) / np.sqrt(a)
+    moved = interpolate(psi.values, np.array([(x_pre - g.x_min) / g.dx]))
+    values = moved * np.exp(-1j * phi / psi.hbar) / np.sqrt(a)
     return QWaveFunction(g, values, psi.hbar, psi.mass)

@@ -22,7 +22,7 @@ from .hamiltonian import (
     backward_characteristics,
     coefficient_fields,
 )
-from .kvh import WaveFunction, interpolate_field
+from .kvh import WaveFunction
 from .madelung import HydroState
 
 
@@ -147,23 +147,23 @@ def prequantum_matrix(H: HamiltonianSpec, grid: PhaseGrid, hbar: float = 1.0) ->
 def kernel_propagator(ch: Characteristics, hbar: float) -> np.ndarray:
     """Unitary propagator matrix on flattened fields, built from characteristics.
 
-    Row i holds the bicubic interpolation weights at the backward-flowed
-    node i, times the accumulated-action phase. Nodes whose backward
-    characteristic leaves the box get zero rows, which is only valid for
-    kernels supported away from the outflow region at the chosen horizon.
+    Column j is the pullback along `ch` of the unit field at node j, so row
+    i holds the bicubic interpolation weights at the backward-flowed node i;
+    the rows are then scaled by the accumulated-action phase. Nodes whose
+    backward characteristic leaves the box get zero rows, which is only
+    valid for kernels supported away from the outflow region at the chosen
+    horizon. At t = 0 the propagator is exactly the identity.
     """
     grid = ch.grid
-    phase = np.exp(-1j * ch.action / hbar)
     n = grid.n_q * grid.n_p
     U = np.empty((n, n), dtype=complex)
     basis = np.zeros((grid.n_q, grid.n_p))
     flat = basis.reshape(-1)
     for j in range(n):
         flat[j] = 1.0
-        col = interpolate_field(ScalarField(grid, basis), ch.q0, ch.p0)
-        U[:, j] = (phase * col).reshape(-1)
+        U[:, j] = ch.pullback(ScalarField(grid, basis)).values.reshape(-1)
         flat[j] = 0.0
-    U[ch.exited.reshape(-1), :] = 0.0
+    U *= ch.phase(hbar).reshape(-1, 1)
     return U
 
 

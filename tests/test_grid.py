@@ -185,6 +185,11 @@ class TestTimeSteps:
         with pytest.raises(ValueError, match="negative"):
             time_steps(-1.0, 1e-3)
 
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf])
+    def test_horizon_must_be_finite(self, t_final):
+        with pytest.raises(ValueError, match="must be finite"):
+            time_steps(t_final, 1e-3)
+
     @pytest.mark.parametrize("dt", [0.0, -1e-3, -0.0, math.inf, -math.inf, math.nan])
     def test_step_must_be_positive_and_finite(self, dt):
         for t_final in (0.0, 1.0):

@@ -235,29 +235,48 @@ class TestCommandLine:
         assert "overall = fail" in (out / "report").read_text()
 
     @pytest.mark.parametrize(
-        "run_lines, grid_lines",
+        "run_lines, grid_lines, flags",
         [
-            ("bc = bogus", ""),
-            ("hamiltonian = nosuch", ""),
-            ("", "q_min = 2\nq_max = -2"),
-            ("t_finl = 0.01", ""),
-            ("", "n_qq = 16"),
-            ("", "[grdi]\nn_q = 16"),
+            ("bc = bogus", "", ()),
+            ("hamiltonian = nosuch", "", ()),
+            ("", "q_min = 2\nq_max = -2", ()),
+            ("t_finl = 0.01", "", ()),
+            ("", "n_qq = 16", ()),
+            ("", "[grdi]\nn_q = 16", ()),
+            ("hbar = nan", "", ()),
+            ("", "", ("--t-final", "nan")),
+            ("", "", ("--t-final", "inf")),
+            ("", "", ("--dt", "nan")),
+            ("", "", ("--dt", "inf")),
         ],
-        ids=["bc", "hamiltonian", "bounds", "run-key", "grid-key", "section"],
+        ids=["bc", "hamiltonian", "bounds", "run-key", "grid-key", "section",
+             "hbar-nan", "t-final-nan", "t-final-inf", "dt-nan", "dt-inf"],
     )
-    def test_late_config_error_is_one_line_usage_error(self, tmp_path, capsys, run_lines, grid_lines):
+    def test_late_config_error_is_one_line_usage_error(self, tmp_path, capsys, run_lines, grid_lines, flags):
         ini = tmp_path / "run.ini"
         ini.write_text(
             f"[run]\nscenario = free-kvh\nchecks = unitarity\n{run_lines}\n[grid]\n{grid_lines}\n"
         )
         out = tmp_path / "o"
-        rc = cli.main(["run", "--config", str(ini), "--outdir", str(out)])
+        rc = cli.main(["run", "--config", str(ini), "--outdir", str(out), *flags])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nsed = 3\n", "[DEFAULT]\nseed = 3\n"],
+                             ids=["unknown-key", "known-key"])
+    def test_default_section_is_one_line_usage_error(self, tmp_path, capsys, text):
+        # configparser copies [DEFAULT] keys into every section; the error names [DEFAULT]
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        rc = cli.main(["run", "--config", str(ini), "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: unknown section [DEFAULT]")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "scenario, check, t_final, message",

@@ -23,7 +23,6 @@ from kvhsim.kvh import (
     hermitian_inner,
     interpolate_field,
     kvh_energy,
-    kvh_rhs,
     symplectic_form,
 )
 
@@ -82,14 +81,6 @@ class TestPrequantumOperator:
     def test_constant_hamiltonian_is_multiplication(self, psi):
         out = apply_prequantum(constant_hamiltonian(2.5), psi)
         np.testing.assert_allclose(out.field.values, 2.5 * psi.field.values, atol=1e-13)
-
-    def test_rhs_matches_operator(self, psi):
-        H = scenario_hamiltonian("harmonic")
-        lhpsi = apply_prequantum(H, psi)
-        rhs = kvh_rhs(H, psi)
-        np.testing.assert_allclose(
-            rhs.field.values, (-1j / psi.hbar) * lhpsi.field.values
-        )
 
     def test_energy_is_real_and_stable(self, psi):
         H = scenario_hamiltonian("harmonic")

@@ -16,7 +16,6 @@ from kvhsim.madelung import (
     evolve_polar,
     hydro_energy,
     hydro_from_wavefunction,
-    madelung_rhs,
     one_form_transport_residual,
     polar_decompose,
     reconstruct_wavefunction,
@@ -81,13 +80,6 @@ class TestPolarDecomposition:
         err = np.max(np.abs((back.field.values - psi.field.values)[mask]))
         assert err < 1e-10
         assert pair.n_components == 1
-
-    def test_masked_phase_rejected_by_transport(self, grid):
-        psi = gaussian_wavepacket(grid, sigma=(0.5, 0.5))
-        pair = polar_decompose(psi)
-        assert pair.mask is not None
-        with pytest.raises(MaskedPhaseError):
-            madelung_rhs(pair, scenario_hamiltonian("harmonic"))
 
     def test_masked_phase_rejected_by_evolve_polar(self):
         psi = gaussian_wavepacket(PhaseGrid(-8, 8, -8, 8, 48, 48, FD4), sigma=(0.5, 0.5))
@@ -156,7 +148,7 @@ class TestPolarEvolution:
     def test_second_partials_required(self):
         g, pair = polar_pair(24)
         from kvhsim.hamiltonian import HamiltonianSpec
-        from kvhsim.madelung import HydroState, hydro_rhs
+        from kvhsim.madelung import HydroState
         from kvhsim.hamiltonian import OneForm
 
         H = HamiltonianSpec(
@@ -169,5 +161,5 @@ class TestPolarEvolution:
             OneForm(ScalarField(g, g.P * pair.D.values), ScalarField(g, 0 * g.P)),
             pair.D,
         )
-        with pytest.raises(ValueError):
-            hydro_rhs(state, H)
+        with pytest.raises(ValueError, match="second partials"):
+            evolve_hydro(state, H, 0.01, 1e-3)

@@ -9,7 +9,7 @@ from kvhsim.hamiltonian import (
     polynomial_hamiltonian,
     scenario_hamiltonian,
 )
-from kvhsim.kvh import apply_prequantum, gaussian_wavepacket, kvh_energy
+from kvhsim.kvh import apply_prequantum, characteristics_oracle, gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import HydroState, hydro_from_wavefunction
 from kvhsim.vonneumann import (
     KernelError,
@@ -281,6 +281,25 @@ class TestEvolution:
         # phase times a permutation, hence exactly unitary
         resid = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
         assert resid < 1e-9
+
+    def test_propagator_applies_the_characteristics_oracle(self):
+        # both are the one pullback along the characteristics times the action
+        # phase, so they agree to round-off, exited nodes included
+        g = PhaseGrid(-2, 2, -2, 2, 16, 16)
+        ch = backward_characteristics(scenario_hamiltonian("free"), g, 1.5, 1e-2, "zero")
+        assert ch.exited.sum() == 92
+        psi = gaussian_wavepacket(
+            g, center=(0.3, -0.2), sigma=(0.5, 0.5), phase=lambda q, p: 0.4 * q * p, hbar=0.7
+        )
+        moved = kernel_propagator(ch, psi.hbar) @ psi.field.values.reshape(-1)
+        oracle = characteristics_oracle(psi, ch).field.values.reshape(-1)
+        assert np.max(np.abs(moved - oracle)) < 1e-12
+
+    def test_zero_horizon_propagator_is_the_identity(self):
+        g = coarse_grid()
+        ch = backward_characteristics(scenario_hamiltonian("harmonic"), g, 0.0, 1e-2, "zero")
+        U = kernel_propagator(ch, hbar=1.0)
+        np.testing.assert_array_equal(U, np.eye(g.n_q * g.n_p))
 
 
 class TestPointParticle:

@@ -11,10 +11,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import PERIODIC, EvolutionAborted, PhaseGrid, ScalarField, spectral_ik, time_steps
+from .grid import (
+    PERIODIC,
+    EvolutionAborted,
+    PhaseGrid,
+    ScalarField,
+    apply_taps,
+    spectral_ik,
+    spline_prefilter,
+    spline_taps,
+    time_steps,
+)
 from .hamiltonian import (
     Characteristics,
     HamiltonianSpec,
@@ -144,27 +155,64 @@ def prequantum_matrix(H: HamiltonianSpec, grid: PhaseGrid, hbar: float = 1.0) ->
     return 1j * hbar * (a[:, None] * Dp - b[:, None] * Dq) - np.diag(lh)
 
 
-def kernel_propagator(ch: Characteristics, hbar: float) -> np.ndarray:
-    """Unitary propagator matrix on flattened fields, built from characteristics.
+class KernelPropagator(NamedTuple):
+    """The propagator U = Φ W P on flattened fields, kept factored.
 
-    Column j is the pullback along `ch` of the unit field at node j, so row
-    i holds the bicubic interpolation weights at the backward-flowed node i;
-    the rows are then scaled by the accumulated-action phase. Nodes whose
-    backward characteristic leaves the box get zero rows, which is only
-    valid for kernels supported away from the outflow region at the chosen
-    horizon. At t = 0 the propagator is exactly the identity.
+    P is the spline prefilter of `grid.spline_prefilter` on the (n_q, n_p)
+    field, W the 16 spline taps per node at the foot points (`taps`, as
+    from `grid.spline_taps`), and Φ the diagonal of action phases (`phase`).
+    `taps` is None at t = 0, where U is exactly the identity.
+    """
+
+    grid: PhaseGrid
+    phase: np.ndarray
+    taps: tuple | None
+
+    def __matmul__(self, M: np.ndarray) -> np.ndarray:
+        """U M, for M of shape (N,) or (N, m)."""
+        if self.taps is None:
+            return M.copy()
+        g = self.grid
+        M = M.astype(complex, copy=False)
+        C = spline_prefilter(M.reshape(g.n_q, g.n_p, *M.shape[1:]), (0, 1))
+        out = apply_taps(self.taps, C.reshape(M.shape))
+        out *= self.phase.reshape(-1, *(1,) * (M.ndim - 1))
+        return out
+
+    def conjugate(self, K: np.ndarray) -> np.ndarray:
+        """U K U^H, as Φ W (P K P^T) W^T Φ*: P acts on the four axes of K
+        as an (n_q, n_p, n_q, n_p) array, then W one tap at a time on the
+        left and on the right. P and W are real, so P^H = P^T and W^H = W^T."""
+        if self.taps is None:
+            return K.copy()
+        g = self.grid
+        K = K.astype(complex, copy=False)
+        C = spline_prefilter(K.reshape(g.n_q, g.n_p, g.n_q, g.n_p), (0, 1, 2, 3))
+        C = apply_taps(self.taps, C.reshape(K.shape), axis=0)
+        C = apply_taps(self.taps, C, axis=1)
+        C *= self.phase[:, None]
+        C *= self.phase.conj()[None, :]
+        return C
+
+
+def kernel_propagator(ch: Characteristics, hbar: float) -> KernelPropagator:
+    """Unitary propagator on flattened fields, built from characteristics.
+
+    Row i of U = Φ W P is the pullback of a field to node i: the cubic
+    spline (prefilter P, taps W) at the backward-flowed node, times the
+    accumulated-action phase Φ_i. It is returned factored, never formed
+    as an N x N matrix. Nodes whose backward characteristic leaves the
+    box get zero taps, hence zero rows, which is only valid for kernels
+    supported away from the outflow region at the chosen horizon. At
+    t = 0 the propagator is exactly the identity.
     """
     grid = ch.grid
-    n = grid.n_q * grid.n_p
-    U = np.empty((n, n), dtype=complex)
-    basis = np.zeros((grid.n_q, grid.n_p))
-    flat = basis.reshape(-1)
-    for j in range(n):
-        flat[j] = 1.0
-        U[:, j] = ch.pullback(ScalarField(grid, basis)).values.reshape(-1)
-        flat[j] = 0.0
-    U *= ch.phase(hbar).reshape(-1, 1)
-    return U
+    phase = ch.phase(hbar).reshape(-1)
+    if ch.t == 0:
+        return KernelPropagator(grid, phase, None)
+    index, weight = spline_taps(grid.node_coords(ch.q0, ch.p0), (grid.n_q, grid.n_p))
+    weight[:, ch.exited.reshape(-1)] = 0.0
+    return KernelPropagator(grid, phase, (index, weight))
 
 
 # closed-form kernel evolution in a general (non-unitary) eigenbasis is
@@ -205,15 +253,15 @@ def evolve_kernel(
     the free Hamiltonian on FD4). A dt beyond the RK4 stability limit
     raises EvolutionAborted (a RuntimeError) at t = 0.
 
-    method "characteristics" conjugates by the backward-flow propagator in
-    one shot (dt then controls the flow integration only). It is the
-    accurate choice when the kernel carries mass at the box boundary,
-    where one-sided transport stencils break down.
+    method "characteristics" conjugates by the factored backward-flow
+    propagator in one shot (dt then controls the flow integration only).
+    It is the accurate choice when the kernel carries mass at the box
+    boundary, where one-sided transport stencils break down.
     """
     if method == "characteristics":
         ch = backward_characteristics(H, theta0.grid, t_final, dt, "zero")
         U = kernel_propagator(ch, theta0.hbar)
-        return VNKernel(theta0.grid, U @ theta0.K @ U.conj().T, theta0.hbar)
+        return VNKernel(theta0.grid, U.conjugate(theta0.K), theta0.hbar)
     if method != "rk4":
         raise ValueError(f"unknown kernel evolution method {method!r}")
     n_steps, dt = time_steps(t_final, dt)

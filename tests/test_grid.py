@@ -18,6 +18,7 @@ from kvhsim.grid import (
     ScalarField,
     divergence,
     integrate,
+    interpolate,
     l1_norm,
     l2_norm,
     partial_p,
@@ -110,12 +111,91 @@ class TestDerivatives:
             assert deriv(values, out=out) is out
             assert np.array_equal(out, deriv(values))
 
+    @pytest.mark.parametrize("shape", [(192, 192), (64, 64), (24, 20), (7, 9)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_fd4_is_the_literal_formula_bit_for_bit(self, shape, dtype):
+        g = PhaseGrid(-2, 2, -3, 3, *shape, FD4)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(shape) + (1j if dtype is complex else 0) * rng.standard_normal(shape)
+        for deriv, h, axis in ((g.ddq, g.dq, 0), (g.ddp, g.dp, 1)):
+            v = np.moveaxis(values, axis, 0)
+            expected = np.empty_like(values)
+            e = np.moveaxis(expected, axis, 0)
+            e[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+            e[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
+            e[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
+            e[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12 * h)
+            e[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12 * h)
+            assert deriv(values).tobytes() == expected.tobytes()
+            out = np.empty_like(values)
+            assert deriv(values, out=out).tobytes() == expected.tobytes()
+
+    def test_fd4_with_out_allocates_no_field(self):
+        g = make_grid(192, bc=FD4)
+        values = np.sin(g.Q) * np.cos(g.P)
+        out = np.empty_like(values)
+        for deriv in (g.ddq, g.ddp):
+            deriv(values, out=out)  # the first call allocates the scratch arrays it keeps
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                deriv(values, out=out)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peak < values.nbytes
+
     def test_nonfinite_rejected(self):
         g = make_grid(8)
         bad = np.zeros((8, 8))
         bad[3, 3] = np.nan
         with pytest.raises(NonFiniteFieldError):
             partial_q(ScalarField(g, bad))
+
+
+class TestInterpolation:
+    """The periodic cubic spline agrees with scipy's, the reference it replaced."""
+
+    @staticmethod
+    def reference(values, coords):
+        from scipy.ndimage import map_coordinates
+
+        def spline(v):
+            return map_coordinates(v, coords, order=3, mode="grid-wrap")
+
+        if np.iscomplexobj(values):
+            return spline(values.real) + 1j * spline(values.imag)
+        return spline(values)
+
+    @pytest.mark.parametrize("shape", [(11,), (40,), (24, 20), (7, 9), (32, 32)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_map_coordinates_grid_wrap(self, shape, dtype):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(shape)
+        if dtype is complex:
+            values = values + 1j * rng.standard_normal(shape)
+        n = np.array(shape)[:, None]
+        coords = np.concatenate(
+            [
+                rng.uniform(-3 * n, 4 * n, (len(shape), 50)),  # well outside the box
+                rng.integers(0, n, (len(shape), 10)).astype(float),  # exactly on nodes
+                np.array([n[:, 0], -n[:, 0], 2 * n[:, 0] - 1]).T.astype(float),  # wrapped nodes
+            ],
+            axis=1,
+        )
+        got = interpolate(values, coords)
+        expected = self.reference(values, coords)
+        assert got.dtype == values.dtype and got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_keeps_the_shape_of_the_points(self):
+        g = make_grid(16)
+        values = np.exp(1j * g.Q) * np.cos(g.P)
+        coords = np.array([g.Q + 0.3, g.P - 0.2])
+        assert interpolate(values, coords).shape == (16, 16)
+        np.testing.assert_allclose(interpolate(values, coords), self.reference(values, coords),
+                                   rtol=0, atol=1e-13)
 
 
 class TestBracketAndMeasure:

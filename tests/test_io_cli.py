@@ -1,6 +1,11 @@
 """Serialization formats and the command-line harness."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,3 +365,32 @@ class TestSharedCharacteristics:
         for name in checks:
             cli.CHECKS[name](ctx)
         assert len(flows) == n_flows, flows
+
+
+def test_runtime_never_loads_scipy(tmp_path):
+    # scipy is a test dependency only; with its import blocked, the CLI must
+    # still run the checks that interpolate along the characteristics
+    ini = tmp_path / "harmonic.ini"
+    ini.write_text(
+        "[run]\nscenario = harmonic-kvh\nchecks = characteristics, naturality\n"
+        f"t_final = {np.pi / 2!r}\ndt = 0.01\n[grid]\nn_q = 48\nn_p = 48\n"
+    )
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+        from kvhsim import cli
+        runs = [
+            ["run", "--config", {str(ini)!r}, "--outdir", {str(tmp_path / "kvh")!r}],
+            ["run", "--scenario", "point-particle", "--check", "sigma-defect",
+             "--outdir", {str(tmp_path / "kernel")!r}],
+        ]
+        print([cli.main(argv) for argv in runs])
+        print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0]", "[]"], proc.stdout
+    assert (tmp_path / "kvh" / "manifest.txt").read_text().count(f"t_final = {np.pi / 2!r}") == 1

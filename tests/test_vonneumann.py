@@ -277,6 +277,7 @@ class TestEvolution:
         g = centered_grid()
         H = scenario_hamiltonian("harmonic")
         U = kernel_propagator(backward_characteristics(H, g, np.pi / 2, 5e-3, "zero"), hbar=16.0)
+        U = U @ np.eye(g.n_q * g.n_p)
         # quarter turn maps the centered node set onto itself: U is a
         # phase times a permutation, hence exactly unitary
         resid = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
@@ -298,8 +299,37 @@ class TestEvolution:
     def test_zero_horizon_propagator_is_the_identity(self):
         g = coarse_grid()
         ch = backward_characteristics(scenario_hamiltonian("harmonic"), g, 0.0, 1e-2, "zero")
-        U = kernel_propagator(ch, hbar=1.0)
+        U = kernel_propagator(ch, hbar=1.0) @ np.eye(g.n_q * g.n_p)
         np.testing.assert_array_equal(U, np.eye(g.n_q * g.n_p))
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_factored_conjugation_is_the_dense_one(self, n):
+        # dense U from its definition: column j is the pullback of the unit
+        # field at node j, the rows scaled by the action phase
+        g = PhaseGrid(-4, 4, -4, 4, n, n)
+        ch = backward_characteristics(scenario_hamiltonian("free"), g, 1.5, 1e-2, "zero")
+        assert ch.exited.any()
+        N = n * n
+        U = np.empty((N, N), dtype=complex)
+        unit = np.zeros(N)
+        for j in range(N):
+            unit[j] = 1.0
+            U[:, j] = ch.pullback(ScalarField(g, unit.reshape(n, n))).values.reshape(-1)
+            unit[j] = 0.0
+        U *= ch.phase(0.7).reshape(-1, 1)
+        assert not U[ch.exited.reshape(-1)].any()
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        K = A + A.conj().T
+        dense = U @ K @ U.conj().T
+        factored = kernel_propagator(ch, 0.7).conjugate(K)
+        assert np.max(np.abs(factored - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_zero_horizon_conjugation_is_exact(self):
+        g = coarse_grid()
+        ch = backward_characteristics(scenario_hamiltonian("harmonic"), g, 0.0, 1e-2, "zero")
+        K = kernel_from_wavefunction(packet(g)).K
+        np.testing.assert_array_equal(kernel_propagator(ch, hbar=1.0).conjugate(K), K)
 
 
 class TestPointParticle:

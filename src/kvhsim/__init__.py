@@ -7,8 +7,6 @@ from .grid import (
     ScalarField,
     divergence,
     integrate,
-    partial_p,
-    partial_q,
     poisson_bracket,
 )
 from .hamiltonian import (
@@ -17,9 +15,7 @@ from .hamiltonian import (
     PolynomialHamiltonian,
     canonical_one_form,
     flow_map,
-    hamiltonian_vector_field,
     jmap,
-    phase_space_lagrangian,
     polynomial_hamiltonian,
     scenario_hamiltonian,
 )
@@ -32,7 +28,6 @@ from .kvh import (
     gaussian_wavepacket,
     hermitian_inner,
     kvh_energy,
-    symplectic_form,
 )
 
 __version__ = "0.1.0"

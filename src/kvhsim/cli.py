@@ -191,7 +191,7 @@ class RunContext:
         """
         key = (H.name, t)
         if key not in self._lifts:
-            self._lifts[key] = contact.ContactTransform(H, t, 0.0, self.grid, self.cfg.dt, "zero")
+            self._lifts[key] = contact.ContactTransform(H, t, 0.0, self.grid, self.cfg.dt)
         return self._lifts[key]
 
 

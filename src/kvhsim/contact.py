@@ -4,7 +4,10 @@ Only lifts of Hamiltonian flows are constructed: the time-t flow of X_G
 paired with the phase accumulated from -L_G along the trajectories. Such
 pairs preserve the connection one-form, and their unitary action reduces
 to composition with the inverse flow times a phase (the flow has unit
-Jacobian, so no density factor appears).
+Jacobian, so no density factor appears). Nodes whose characteristic leaves
+the box are zeroed, which is valid for wavefunctions supported away from
+the outflow region. The equivariance residual compares the conjugated
+prequantum operator with that of a closed-form composition H∘η.
 """
 
 from __future__ import annotations
@@ -20,12 +23,10 @@ from .hamiltonian import (
     HamiltonianSpec,
     backward_characteristics,
     central_gradient,
-    check_on_exit,
-    flow_jacobian,
     flow_map,
     flow_with_action,
 )
-from .kvh import WaveFunction, _prequantum, apply_prequantum, characteristics_oracle
+from .kvh import WaveFunction, apply_prequantum, characteristics_oracle
 
 
 @dataclass
@@ -36,8 +37,6 @@ class ContactTransform:
     time: flow time.
     theta: constant phase offset (the lift is unique only up to it).
     flow_dt: step used when integrating trajectories.
-    on_exit: "error" rejects characteristics that leave the box; "zero"
-    assigns zero there (valid for boundary-clear wavefunctions).
     """
 
     generator: HamiltonianSpec
@@ -45,39 +44,25 @@ class ContactTransform:
     theta: float
     grid: PhaseGrid
     flow_dt: float = 1e-3
-    on_exit: str = "error"
     _inverse: "ContactTransform | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self):
-        check_on_exit(self.on_exit)
-
     @cached_property
     def backward(self) -> Characteristics:
-        """Every grid node flowed back by `time`, computed once per transform."""
-        return backward_characteristics(
-            self.generator, self.grid, self.time, self.flow_dt, self.on_exit
-        )
+        """Every grid node flowed back by `time`, computed once per transform;
+        exited nodes are recorded in `exited` and zeroed by the action."""
+        return backward_characteristics(self.generator, self.grid, self.time, self.flow_dt)
 
     def eta(self, q, p):
         """Forward flow map."""
         return flow_map(self.generator, self.time, (q, p), self.flow_dt)
 
-    def jacobian_field(self) -> ScalarField:
-        """Numerical Jacobian determinant of eta (should be 1)."""
-        det = flow_jacobian(
-            self.generator, self.time, self.grid.Q, self.grid.P, self.flow_dt
-        )
-        return ScalarField(self.grid, det)
-
     def inverse(self) -> "ContactTransform":
         """The lift of the time -t flow, built once, so that its `backward`
         is flowed once; the inverse of the inverse is this transform."""
         if self._inverse is None:
-            inv = ContactTransform(
-                self.generator, -self.time, -self.theta, self.grid, self.flow_dt, self.on_exit
-            )
+            inv = ContactTransform(self.generator, -self.time, -self.theta, self.grid, self.flow_dt)
             inv._inverse = self
             self._inverse = inv
         return self._inverse
@@ -107,26 +92,6 @@ class ContactTransform:
         )
 
 
-def lift_hamiltonian_flow(
-    G: HamiltonianSpec,
-    t: float,
-    theta: float,
-    grid: PhaseGrid,
-    flow_dt: float = 1e-3,
-    on_exit: str = "error",
-) -> ContactTransform:
-    """Lift the time-t flow of X_G to a strict contact transformation.
-
-    on_exit is checked here and kept by the lift and its inverse.
-    """
-    T = ContactTransform(G, t, theta, grid, flow_dt, on_exit)
-    if on_exit == "error":
-        # fail early if grid nodes leave the box: the forward flow by t is the
-        # inverse's backward flow, kept for the inverse's van Hove action
-        T.inverse().backward
-    return T
-
-
 def apply_van_hove(T: ContactTransform, psi: WaveFunction) -> WaveFunction:
     """Unitary action: U Ψ(z) = exp(-i phi(η⁻¹ z)/ħ) Ψ(η⁻¹ z).
 
@@ -139,40 +104,15 @@ def apply_van_hove(T: ContactTransform, psi: WaveFunction) -> WaveFunction:
     return WaveFunction(ScalarField(psi.grid, values), psi.hbar)
 
 
-def _composed_prequantum(
-    T: ContactTransform, H: HamiltonianSpec, psi: WaveFunction
-) -> WaveFunction:
-    """Apply the prequantum operator of H∘η, built numerically.
-
-    H∘η and its partials are sampled by flowing slightly displaced node
-    sets and central-differencing the composed scalar with step 1e-4.
-    """
-    g = psi.grid
-
-    def h_eta(q, p):
-        qf, pf = T.eta(q, p)
-        return H.h(qf, pf)
-
-    hc = h_eta(g.Q, g.P)
-    dh_q, dh_p = central_gradient(h_eta, g.Q, g.P, 1e-4)
-    return _prequantum(psi, dh_q, dh_p, g.P * dh_p - hc)
-
-
 def equivariance_residual(
     T: ContactTransform,
     H: HamiltonianSpec,
     psi: WaveFunction,
-    composed: HamiltonianSpec | None = None,
+    composed: HamiltonianSpec,
 ) -> float:
-    """Relative residual of U† L̂_H U = L̂_{H∘η} on psi.
-
-    Pass `composed` when H∘η is known in closed form; otherwise it is
-    constructed numerically from the flow.
-    """
+    """Relative residual of U† L̂_H U = L̂_{H∘η} on psi, for `composed` the
+    closed form of H∘η."""
     lhs = apply_van_hove(T.inverse(), apply_prequantum(H, apply_van_hove(T, psi)))
-    if composed is not None:
-        rhs = apply_prequantum(composed, psi)
-    else:
-        rhs = _composed_prequantum(T, H, psi)
+    rhs = apply_prequantum(composed, psi)
     diff = ScalarField(psi.grid, lhs.field.values - rhs.field.values)
     return l2_norm(diff) / psi.norm()

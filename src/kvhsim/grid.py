@@ -256,16 +256,6 @@ def _check_finite(f: ScalarField) -> None:
         raise NonFiniteFieldError("field contains non-finite values")
 
 
-def partial_q(f: ScalarField) -> ScalarField:
-    _check_finite(f)
-    return ScalarField(f.grid, f.grid.ddq(f.values))
-
-
-def partial_p(f: ScalarField) -> ScalarField:
-    _check_finite(f)
-    return ScalarField(f.grid, f.grid.ddp(f.values))
-
-
 def poisson_bracket(f: ScalarField, g: ScalarField) -> ScalarField:
     """Canonical bracket {f,g} = dq(f) dp(g) - dp(f) dq(g)."""
     _check_same_grid(f, g)

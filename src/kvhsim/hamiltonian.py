@@ -22,14 +22,6 @@ class HamiltonianError(ValueError):
     pass
 
 
-class DomainExitError(RuntimeError):
-    """A characteristic left the truncated phase-space box."""
-
-    def __init__(self, message, indices=None):
-        super().__init__(message)
-        self.indices = indices
-
-
 def central_gradient(f, q, p, step: float):
     """(df/dq, df/dp) at (q, p) by central differences of the given step.
 
@@ -48,8 +40,8 @@ class HamiltonianSpec:
     """Classical Hamiltonian with closed-form partial derivatives.
 
     h_qq / h_qp / h_pp are optional second partials, needed only by
-    consumers that differentiate the Hamiltonian vector field (one-form
-    transport, hydrodynamic Lie derivatives).
+    consumers that differentiate the Hamiltonian vector field (the one-form
+    transport residual).
     """
 
     name: str
@@ -159,10 +151,6 @@ class PolynomialHamiltonian(HamiltonianSpec):
         )
 
 
-def constant_hamiltonian(c: float, name: str | None = None) -> PolynomialHamiltonian:
-    return PolynomialHamiltonian(name or f"const({c})", {(0, 0): c})
-
-
 # -- scenario library -----------------------------------------------------
 
 def _pendulum() -> HamiltonianSpec:
@@ -210,12 +198,6 @@ class OneForm:
             raise HamiltonianError("one-form components live on different grids")
 
 
-def hamiltonian_vector_field(H: HamiltonianSpec, grid: PhaseGrid):
-    """X_H = (dH/dp, -dH/dq) sampled on the grid."""
-    a, b, _ = coefficient_fields(H, grid)
-    return ScalarField(grid, b), ScalarField(grid, -a)
-
-
 def self_broadcast(values, grid: PhaseGrid) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=float), (grid.n_q, grid.n_p)).copy()
 
@@ -226,11 +208,6 @@ def coefficient_fields(H: HamiltonianSpec, grid: PhaseGrid):
     b = self_broadcast(H.h_p(grid.Q, grid.P), grid)
     lh = self_broadcast(H.lagrangian(grid.Q, grid.P), grid)
     return a, b, lh
-
-
-def phase_space_lagrangian(H: HamiltonianSpec, grid: PhaseGrid) -> ScalarField:
-    """L_H = p dH/dp - H on the grid."""
-    return ScalarField(grid, self_broadcast(H.lagrangian(grid.Q, grid.P), grid))
 
 
 def canonical_one_form(grid: PhaseGrid) -> OneForm:
@@ -336,39 +313,19 @@ class Characteristics:
         return np.exp(-1j * self.action / hbar)
 
 
-def check_on_exit(on_exit: str) -> None:
-    if on_exit not in ("error", "zero"):
-        raise ValueError(f"unknown on_exit {on_exit!r}; choose 'error' or 'zero'")
-
-
 def backward_characteristics(
-    H: HamiltonianSpec, grid: PhaseGrid, t: float, dt: float, on_exit: str
+    H: HamiltonianSpec, grid: PhaseGrid, t: float, dt: float
 ) -> Characteristics:
     """Flow every node of `grid` back by t along X_H with step dt.
 
-    on_exit "error" raises DomainExitError with the `indices` of every exited
-    node; "zero" moves exited foot points to the box corner with zero action,
-    and `pullback` zeroes those nodes.
+    Exited nodes are recorded in `exited`; their foot points move to the box
+    corner with zero action, and `pullback` zeroes those nodes.
     """
-    check_on_exit(on_exit)
     q0, p0, action = flow_with_action(H, -t, grid.Q, grid.P, dt)
     bad = out_of_domain_mask(grid, q0, p0)
     if bad.any():
-        if on_exit == "error":
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise DomainExitError(
-                f"characteristic from node {idx} left the domain",
-                indices=np.argwhere(bad),
-            )
         q0 = np.where(bad, grid.q_min, q0)
         p0 = np.where(bad, grid.p_min, p0)
         action = np.where(bad, 0.0, action)
     return Characteristics(grid, t, q0, p0, action, bad)
 
-
-def flow_jacobian(H: HamiltonianSpec, t: float, q, p, dt: float = 1e-3):
-    """Jacobian determinant of the time-t flow, by central differences of step 1e-5."""
-    (dqdq, dpdq), (dqdp, dpdp) = central_gradient(
-        lambda q, p: flow_map(H, t, (q, p), dt), q, p, 1e-5
-    )
-    return dqdq * dpdp - dqdp * dpdq

@@ -92,11 +92,6 @@ def hermitian_inner(psi1: WaveFunction, psi2: WaveFunction) -> complex:
     return complex(integrate(psi1.field.conj() * psi2.field))
 
 
-def symplectic_form(psi1: WaveFunction, psi2: WaveFunction) -> float:
-    """Omega(psi1, psi2) = 2 hbar Im <psi1|psi2>."""
-    return 2.0 * psi1.hbar * hermitian_inner(psi1, psi2).imag
-
-
 def _prequantum(psi: WaveFunction, a, b, lh) -> WaveFunction:
     """iħ (a ∂_pΨ - b ∂_qΨ) - L Ψ, for a = dH/dq, b = dH/dp and L = L_H on the grid."""
     grid = psi.grid

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import _spectral_1d, interpolate, spectral_ik, time_steps
+from .grid import _spectral_1d, spectral_ik, time_steps
 
 
 @dataclass(eq=False)
@@ -120,15 +120,6 @@ def quantum_energy(psi: QWaveFunction, V: np.ndarray) -> float:
     return float(np.real(g.integrate(kinetic + potential)))
 
 
-def quantum_potential(D: np.ndarray, grid: LineGrid, hbar: float, mass: float) -> np.ndarray:
-    """Q = -ħ²/(2m) (sqrt(D))'' / sqrt(D)."""
-    root = np.sqrt(np.maximum(D, 0.0))
-    lap = grid.ddx(grid.ddx(root))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(root > 0, lap / np.where(root > 0, root, 1.0), 0.0)
-    return -(hbar**2) / (2 * mass) * out
-
-
 def continuity_residual(times, snapshots):
     """L2 residual time-series of dD/dt + (mu/m)' at interior snapshots."""
     g = snapshots[0].grid
@@ -188,17 +179,3 @@ def bohm_potential_residual(times, snapshots, V: np.ndarray, mask_eps: float = 1
         out.append(float(np.sqrt(np.real(g.integrate(res**2)))))
     return out
 
-
-def apply_point_transform(psi: QWaveFunction, a: float, b: float, phi: float) -> QWaveFunction:
-    """Unitary action of an affine diffeomorphism chi(x) = a x + b with constant phase.
-
-    psi -> (1/sqrt(a)) exp(-i phi/ħ) psi(chi^{-1}(x)); densities push
-    forward by the Jacobian rule.
-    """
-    if a <= 0:
-        raise ValueError("affine map must be orientation preserving")
-    g = psi.grid
-    x_pre = (g.x - b) / a
-    moved = interpolate(psi.values, np.array([(x_pre - g.x_min) / g.dx]))
-    values = moved * np.exp(-1j * phi / psi.hbar) / np.sqrt(a)
-    return QWaveFunction(g, values, psi.hbar, psi.mass)

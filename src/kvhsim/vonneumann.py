@@ -259,7 +259,7 @@ def evolve_kernel(
     boundary, where one-sided transport stencils break down.
     """
     if method == "characteristics":
-        ch = backward_characteristics(H, theta0.grid, t_final, dt, "zero")
+        ch = backward_characteristics(H, theta0.grid, t_final, dt)
         U = kernel_propagator(ch, theta0.hbar)
         return VNKernel(theta0.grid, U.conjugate(theta0.K), theta0.hbar)
     if method != "rk4":
@@ -291,13 +291,6 @@ def evolve_kernel(
             0.0,
         )
     return VNKernel(theta0.grid, K, theta0.hbar)
-
-
-def kernel_energy(theta: VNKernel, H: HamiltonianSpec) -> float:
-    """h(Theta) = Tr(L̂_H Theta)."""
-    L = prequantum_matrix(H, theta.grid, theta.hbar)
-    # Tr(L K) = sum(L * K.T), without forming the product
-    return float(np.real(np.sum(L * theta.K.T))) * theta.weight
 
 
 def hydro_from_kernel(theta: VNKernel) -> HydroState:

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from kvhsim import hamiltonian
-from kvhsim.contact import (
-    apply_van_hove,
-    equivariance_residual,
-    lift_hamiltonian_flow,
-)
+from kvhsim.contact import ContactTransform, apply_van_hove, equivariance_residual
 from kvhsim.grid import PhaseGrid, ScalarField, l2_norm
 from kvhsim.hamiltonian import (
-    DomainExitError,
     backward_characteristics,
     flow_with_action,
     polynomial_hamiltonian,
@@ -34,18 +29,12 @@ def psi(grid):
 
 @pytest.fixture
 def quarter_turn(grid):
-    return lift_hamiltonian_flow(
-        scenario_hamiltonian("harmonic"), np.pi / 2, 0.0, grid, on_exit="zero"
-    )
+    return ContactTransform(scenario_hamiltonian("harmonic"), np.pi / 2, 0.0, grid)
 
 
 class TestLift:
     def test_connection_membership(self, quarter_turn):
         assert quarter_turn.connection_residual() < 1e-4
-
-    def test_flow_is_unimodular(self, quarter_turn):
-        det = quarter_turn.jacobian_field().values
-        assert np.max(np.abs(det - 1.0)) < 1e-4
 
     def test_inverse_composes_to_identity(self, quarter_turn, grid):
         q, p = quarter_turn.eta(grid.Q, grid.P)
@@ -55,18 +44,8 @@ class TestLift:
 
     def test_domain_exit_policy(self):
         g = PhaseGrid(-1, 1, -1, 1, 16, 16)
-        with pytest.raises(DomainExitError):
-            lift_hamiltonian_flow(scenario_hamiltonian("free"), 3.0, 0.0, g)
-        lift_hamiltonian_flow(scenario_hamiltonian("free"), 3.0, 0.0, g, on_exit="zero")
-
-    def test_unknown_exit_policy_rejected_at_the_lift(self, grid):
-        with pytest.raises(ValueError, match="on_exit"):
-            lift_hamiltonian_flow(
-                scenario_hamiltonian("harmonic"), 0.3, 0.0, grid, on_exit="Zero"
-            )
-
-    def test_inverse_keeps_exit_policy(self, quarter_turn):
-        assert quarter_turn.inverse().on_exit == "zero"
+        T = ContactTransform(scenario_hamiltonian("free"), 3.0, 0.0, g)
+        assert T.backward.exited.any() and T.inverse().backward.exited.any()
 
     def test_inverse_is_built_once(self, quarter_turn):
         inv = quarter_turn.inverse()
@@ -74,7 +53,7 @@ class TestLift:
         assert inv.inverse() is quarter_turn
 
     def test_lift_and_equivariance_share_their_flows(self, monkeypatch):
-        # the lift's exit check is the inverse's backward flow, kept for reuse
+        # the lift and its inverse each flow their backward characteristics once
         flows = []
 
         def counted(G, t, q0, p0, dt=1e-3):
@@ -86,9 +65,9 @@ class TestLift:
         H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
         H_rot = polynomial_hamiltonian("half_p2", {(0, 2): 0.5})
         monkeypatch.setattr(hamiltonian, "flow_with_action", counted)
-        T = lift_hamiltonian_flow(scenario_hamiltonian("harmonic"), np.pi / 2, 0.0, g)
+        T = ContactTransform(scenario_hamiltonian("harmonic"), np.pi / 2, 0.0, g)
         residuals = [equivariance_residual(T, H, psi, composed=H_rot) for _ in range(2)]
-        assert flows == [np.pi / 2, -np.pi / 2]
+        assert flows == [-np.pi / 2, np.pi / 2]
         assert residuals[0] == residuals[1]
 
 
@@ -105,8 +84,8 @@ class TestVanHoveAction:
 
     def test_theta_offset_is_global_phase(self, grid, psi):
         G = scenario_hamiltonian("harmonic")
-        T0 = lift_hamiltonian_flow(G, 0.3, 0.0, grid, on_exit="zero")
-        T1 = lift_hamiltonian_flow(G, 0.3, 0.7, grid, on_exit="zero")
+        T0 = ContactTransform(G, 0.3, 0.0, grid)
+        T1 = ContactTransform(G, 0.3, 0.7, grid)
         a = apply_van_hove(T0, psi).field.values
         b = apply_van_hove(T1, psi).field.values
         np.testing.assert_allclose(b, np.exp(-0.7j / psi.hbar) * a, atol=1e-12)
@@ -118,9 +97,9 @@ class TestVanHoveAction:
         g = PhaseGrid(-3, 3, -3, 3, 32, 32)
         H = scenario_hamiltonian(name)
         psi = gaussian_wavepacket(g, center=(0.8, 0.0), sigma=(0.35, 0.35))
-        T = lift_hamiltonian_flow(H, t, 0.0, g, on_exit="zero")
+        T = ContactTransform(H, t, 0.0, g)
         upsi = apply_van_hove(T, psi).field.values
-        ch = backward_characteristics(H, g, t, 1e-3, "zero")
+        ch = backward_characteristics(H, g, t, 1e-3)
         oracle = characteristics_oracle(psi, ch).field.values
         assert np.array_equal(upsi, oracle)
         if name == "quartic":
@@ -134,10 +113,3 @@ class TestEquivariance:
         H_rot = polynomial_hamiltonian("half_p2", {(0, 2): 0.5})
         r = equivariance_residual(quarter_turn, H, psi, composed=H_rot)
         assert r < 1e-5
-
-    def test_numeric_composition_path(self, grid, psi):
-        G = scenario_hamiltonian("harmonic")
-        T = lift_hamiltonian_flow(G, 0.4, 0.0, grid, on_exit="zero")
-        H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
-        r = equivariance_residual(T, H, psi)
-        assert r < 1e-3

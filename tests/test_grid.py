@@ -21,8 +21,6 @@ from kvhsim.grid import (
     interpolate,
     l1_norm,
     l2_norm,
-    partial_p,
-    partial_q,
     poisson_bracket,
     rk4_steps,
     time_steps,
@@ -95,12 +93,6 @@ class TestDerivatives:
             errs.append(err)
         assert errs[0] / errs[1] > 12.0
 
-    def test_partial_wrappers_match_grid_methods(self):
-        g = make_grid(16)
-        f = ScalarField(g, np.cos(g.Q + 2 * g.P))
-        np.testing.assert_allclose(partial_q(f).values, g.ddq(f.values))
-        np.testing.assert_allclose(partial_p(f).values, g.ddp(f.values))
-
     @pytest.mark.parametrize("bc", [PERIODIC, FD4])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_out_argument_receives_the_same_derivative(self, bc, dtype):
@@ -151,7 +143,7 @@ class TestDerivatives:
         bad = np.zeros((8, 8))
         bad[3, 3] = np.nan
         with pytest.raises(NonFiniteFieldError):
-            partial_q(ScalarField(g, bad))
+            poisson_bracket(ScalarField(g, bad), ScalarField(g, np.zeros((8, 8))))
 
 
 class TestInterpolation:

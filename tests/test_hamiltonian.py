@@ -10,16 +10,11 @@ from kvhsim.hamiltonian import (
     HamiltonianError,
     HamiltonianSpec,
     OneForm,
-    backward_characteristics,
     canonical_one_form,
-    constant_hamiltonian,
-    flow_jacobian,
     flow_map,
     flow_with_action,
-    hamiltonian_vector_field,
     jmap,
     out_of_domain_mask,
-    phase_space_lagrangian,
     poly_poisson,
     polynomial_hamiltonian,
     scenario_hamiltonian,
@@ -81,21 +76,12 @@ class TestPolynomialAlgebra:
         assert ab == {k: -v for k, v in ba.items()}
 
     def test_constant_hamiltonian(self):
-        H = constant_hamiltonian(4.0)
+        H = polynomial_hamiltonian("c", {(0, 0): 4.0})
         assert H.h(1.0, 2.0) == pytest.approx(4.0)
         assert H.lagrangian(1.0, 2.0) == pytest.approx(-4.0)
 
 
 class TestGeometricObjects:
-    def test_vector_field_and_lagrangian_fields(self):
-        g = PhaseGrid(-2, 2, -2, 2, 8, 8)
-        H = scenario_hamiltonian("harmonic")
-        Xq, Xp = hamiltonian_vector_field(H, g)
-        np.testing.assert_allclose(Xq.values, g.P)
-        np.testing.assert_allclose(Xp.values, -g.Q)
-        L = phase_space_lagrangian(H, g)
-        np.testing.assert_allclose(L.values, (g.P**2 - g.Q**2) / 2)
-
     def test_canonical_one_form_and_jmap(self):
         g = PhaseGrid(-2, 2, -2, 2, 8, 8)
         A = canonical_one_form(g)
@@ -144,11 +130,6 @@ class TestFlows:
         assert q0 == pytest.approx(0.9, abs=1e-9)
         assert p0 == pytest.approx(0.1, abs=1e-9)
 
-    def test_flow_jacobian_is_unimodular(self):
-        H = scenario_hamiltonian("quartic")
-        det = flow_jacobian(H, 1.5, np.array([0.4]), np.array([0.8]))
-        assert det[0] == pytest.approx(1.0, abs=1e-5)
-
     @settings(max_examples=20, deadline=None)
     @given(
         t=st.floats(-1.5, 1.5),
@@ -176,8 +157,3 @@ class TestDomainMask:
     def test_boundary_grazing_roundoff_kept(self):
         g = PhaseGrid(-1, 1, -1, 1, 8, 8)
         assert not out_of_domain_mask(g, np.array([-1.0 - 1e-13]), np.array([0.0]))[0]
-
-    def test_backward_characteristics_rejects_unknown_on_exit(self):
-        g = PhaseGrid(-1, 1, -1, 1, 8, 8)
-        with pytest.raises(ValueError, match="on_exit"):
-            backward_characteristics(scenario_hamiltonian("harmonic"), g, 0.1, 1e-2, "Zero")

@@ -11,17 +11,7 @@ import numpy as np
 import pytest
 
 from kvhsim import cli, hamiltonian
-from kvhsim.fieldio import (
-    FormatError,
-    headers_match,
-    load_field,
-    load_field_csv,
-    load_kernel,
-    save_field,
-    save_field_csv,
-    save_kernel,
-    write_csv_log,
-)
+from kvhsim.fieldio import FormatError, load_field, save_field, write_csv_log
 from kvhsim.grid import PhaseGrid, ScalarField
 
 
@@ -67,67 +57,14 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             load_field(path)
 
-    def test_headers_match(self, tmp_path, grid, field):
-        a, b, c = (tmp_path / n for n in ("a", "b", "c"))
-        save_field(a, field)
-        save_field(b, ScalarField(grid, 2 * field.values))
-        other = PhaseGrid(-4, 4, -4, 4, 16, 16)
-        save_field(c, ScalarField(other, np.zeros((16, 16), complex)))
-        assert headers_match(a, b)
-        assert not headers_match(a, c)
-
 
 class TestCsvFormats:
-    def test_field_roundtrip(self, tmp_path, grid, field):
-        path = tmp_path / "f.csv"
-        save_field_csv(path, field)
-        back = load_field_csv(path, grid)
-        np.testing.assert_allclose(back.values, field.values, atol=0)
-
-    def test_row_count_checked(self, tmp_path, field):
-        path = tmp_path / "f.csv"
-        save_field_csv(path, field)
-        with pytest.raises(FormatError):
-            load_field_csv(path, PhaseGrid(-8, 8, -8, 8, 8, 8))
-
     def test_log_layout(self, tmp_path):
         path = tmp_path / "log.csv"
         write_csv_log(path, {"t": [0.0, 0.5], "norm": [1.0, 1.0]})
         lines = path.read_text().splitlines()
         assert lines[0] == "t,norm"
         assert len(lines) == 3
-
-
-class TestKernelFormat:
-    def test_roundtrip(self, tmp_path):
-        g = PhaseGrid(-4, 4, -4, 4, 6, 6)
-        rng = np.random.default_rng(0)
-        K = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
-        path = tmp_path / "k.kvhk"
-        save_kernel(path, g, K)
-        g2, K2 = load_kernel(path)
-        np.testing.assert_array_equal(K2, K)
-        assert g2.same_geometry(g)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "k.kvhk"
-        path.write_bytes(b"\x00" * 64)
-        with pytest.raises(FormatError):
-            load_kernel(path)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "k.kvhk"
-        path.write_bytes(b"KVHF" + b"\x00" * 6)
-        with pytest.raises(FormatError, match="header"):
-            load_kernel(path)
-
-    def test_truncated_payload(self, tmp_path):
-        g = PhaseGrid(-4, 4, -4, 4, 6, 6)
-        path = tmp_path / "k.kvhk"
-        save_kernel(path, g, np.eye(36, dtype=complex))
-        path.write_bytes(path.read_bytes()[:32 + 100])
-        with pytest.raises(FormatError, match="expected"):
-            load_kernel(path)
 
 
 class TestConfigParsing:

@@ -6,13 +6,11 @@ import pytest
 from kvhsim.qhd import (
     LineGrid,
     QWaveFunction,
-    apply_point_transform,
     bohm_potential_residual,
     coherent_state,
     continuity_residual,
     quantum_energy,
     quantum_madelung_momap,
-    quantum_potential,
     schrodinger_evolve,
 )
 
@@ -38,13 +36,6 @@ class TestStates:
         psi = QWaveFunction(grid, values)
         mu, D = quantum_madelung_momap(psi)
         np.testing.assert_allclose(mu, k * D, atol=1e-12)
-
-    def test_quantum_potential_of_gaussian(self, grid):
-        # D = exp(-x^2) gives Q = (1 - x^2)/2 for hbar = m = 1
-        D = np.exp(-grid.x**2)
-        Q = quantum_potential(D, grid, hbar=1.0, mass=1.0)
-        core = np.abs(grid.x) < 3.0
-        np.testing.assert_allclose(Q[core], (1 - grid.x**2)[core] / 2, atol=1e-7)
 
 
 class TestEvolution:
@@ -93,28 +84,3 @@ class TestHydrodynamicResiduals:
         with pytest.raises(ValueError):
             bohm_potential_residual(times, snaps, harmonic, mask_eps=1e9)
 
-
-class TestPointTransform:
-    def test_translation_moves_density(self, grid):
-        psi = coherent_state(grid, x0=0.0, p0=0.0)
-        moved = apply_point_transform(psi, a=1.0, b=2.0, phi=0.0)
-        _, D = quantum_madelung_momap(moved)
-        assert grid.x[np.argmax(D)] == pytest.approx(2.0, abs=grid.dx)
-        assert moved.norm() == pytest.approx(1.0, abs=1e-6)
-
-    def test_constant_phase(self, grid):
-        psi = coherent_state(grid, x0=0.0, p0=0.0)
-        out = apply_point_transform(psi, a=1.0, b=0.0, phi=0.4)
-        np.testing.assert_allclose(
-            out.values, np.exp(-0.4j) * psi.values, atol=1e-9
-        )
-
-    def test_dilation_jacobian(self, grid):
-        psi = coherent_state(grid, x0=0.0, p0=0.0)
-        out = apply_point_transform(psi, a=2.0, b=0.0, phi=0.0)
-        assert out.norm() == pytest.approx(1.0, abs=1e-6)
-
-    def test_orientation_reversal_rejected(self, grid):
-        psi = coherent_state(grid, x0=0.0, p0=0.0)
-        with pytest.raises(ValueError):
-            apply_point_transform(psi, a=-1.0, b=0.0, phi=0.0)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from kvhsim.grid import FD4, PERIODIC, PhaseGrid, ScalarField, time_steps
-from kvhsim.hamiltonian import coefficient_fields, scenario_hamiltonian, self_broadcast
+from kvhsim.hamiltonian import coefficient_fields, scenario_hamiltonian
 from kvhsim.kvh import evolve, gaussian_wavepacket
 from kvhsim.liouville import evolve_spectral
-from kvhsim.madelung import PolarPair, evolve_hydro, evolve_polar, hydro_from_wavefunction
+from kvhsim.madelung import PolarPair, evolve_polar
 
 T_FINAL, DT = 0.02, 2e-3
 
@@ -90,24 +90,3 @@ def test_evolve_polar(grid, H, psi):
     assert np.array_equal(snaps[-1].S.values, ref[0])
     assert np.array_equal(snaps[-1].D.values, ref[1])
 
-
-def test_evolve_hydro(grid, H, psi):
-    g = grid
-    a, b, _ = coefficient_fields(H, g)
-    Xq, Xp = b, -a
-    h_qq, h_qp, h_pp = (self_broadcast(f(g.Q, g.P), g) for f in (H.h_qq, H.h_qp, H.h_pp))
-
-    def rhs(sq, sp, D):
-        tau_q = sq - D * g.P
-        tau_p = sp
-        lie_q = Xq * g.ddq(tau_q) + Xp * g.ddp(tau_q) + tau_q * h_qp + tau_p * (-h_qq)
-        lie_p = Xq * g.ddq(tau_p) + Xp * g.ddp(tau_p) + tau_q * h_pp + tau_p * (-h_qp)
-        dD = -(g.ddq(D * Xq) + g.ddp(D * Xp))
-        return -lie_q + dD * g.P, -lie_p, dD
-
-    h0 = hydro_from_wavefunction(psi)
-    start = (h0.sigma.a_q.values, h0.sigma.a_p.values, h0.D.values)
-    ref = reference_rk4(rhs, start, T_FINAL, DT)
-    out = evolve_hydro(h0, H, T_FINAL, DT)
-    for got, want in zip((out.sigma.a_q.values, out.sigma.a_p.values, out.D.values), ref):
-        assert np.array_equal(got, want)

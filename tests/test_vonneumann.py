@@ -9,7 +9,7 @@ from kvhsim.hamiltonian import (
     polynomial_hamiltonian,
     scenario_hamiltonian,
 )
-from kvhsim.kvh import apply_prequantum, characteristics_oracle, gaussian_wavepacket, kvh_energy
+from kvhsim.kvh import apply_prequantum, characteristics_oracle, gaussian_wavepacket
 from kvhsim.madelung import HydroState, hydro_from_wavefunction
 from kvhsim.vonneumann import (
     KernelError,
@@ -18,7 +18,6 @@ from kvhsim.vonneumann import (
     derivative_matrices,
     evolve_kernel,
     hydro_from_kernel,
-    kernel_energy,
     kernel_from_wavefunction,
     kernel_propagator,
     point_particle_kernel,
@@ -129,13 +128,6 @@ class TestOperatorDiscretization:
         via_matrix = (L @ psi.field.values.reshape(-1)).reshape(24, 24)
         via_op = apply_prequantum(H, psi).field.values
         np.testing.assert_allclose(via_matrix, via_op, atol=1e-10)
-
-    def test_kernel_energy_matches_wavefunction_energy(self):
-        g = coarse_grid()
-        H = scenario_hamiltonian("harmonic")
-        psi = packet(g)
-        theta = kernel_from_wavefunction(psi)
-        assert kernel_energy(theta, H) == pytest.approx(kvh_energy(H, psi), abs=1e-10)
 
     def test_derivative_matrices_match_grid(self):
         rng = np.random.default_rng(7)
@@ -276,7 +268,7 @@ class TestEvolution:
     def test_characteristics_propagator_unitary_on_rotation(self):
         g = centered_grid()
         H = scenario_hamiltonian("harmonic")
-        U = kernel_propagator(backward_characteristics(H, g, np.pi / 2, 5e-3, "zero"), hbar=16.0)
+        U = kernel_propagator(backward_characteristics(H, g, np.pi / 2, 5e-3), hbar=16.0)
         U = U @ np.eye(g.n_q * g.n_p)
         # quarter turn maps the centered node set onto itself: U is a
         # phase times a permutation, hence exactly unitary
@@ -287,7 +279,7 @@ class TestEvolution:
         # both are the one pullback along the characteristics times the action
         # phase, so they agree to round-off, exited nodes included
         g = PhaseGrid(-2, 2, -2, 2, 16, 16)
-        ch = backward_characteristics(scenario_hamiltonian("free"), g, 1.5, 1e-2, "zero")
+        ch = backward_characteristics(scenario_hamiltonian("free"), g, 1.5, 1e-2)
         assert ch.exited.sum() == 92
         psi = gaussian_wavepacket(
             g, center=(0.3, -0.2), sigma=(0.5, 0.5), phase=lambda q, p: 0.4 * q * p, hbar=0.7
@@ -298,7 +290,7 @@ class TestEvolution:
 
     def test_zero_horizon_propagator_is_the_identity(self):
         g = coarse_grid()
-        ch = backward_characteristics(scenario_hamiltonian("harmonic"), g, 0.0, 1e-2, "zero")
+        ch = backward_characteristics(scenario_hamiltonian("harmonic"), g, 0.0, 1e-2)
         U = kernel_propagator(ch, hbar=1.0) @ np.eye(g.n_q * g.n_p)
         np.testing.assert_array_equal(U, np.eye(g.n_q * g.n_p))
 
@@ -307,7 +299,7 @@ class TestEvolution:
         # dense U from its definition: column j is the pullback of the unit
         # field at node j, the rows scaled by the action phase
         g = PhaseGrid(-4, 4, -4, 4, n, n)
-        ch = backward_characteristics(scenario_hamiltonian("free"), g, 1.5, 1e-2, "zero")
+        ch = backward_characteristics(scenario_hamiltonian("free"), g, 1.5, 1e-2)
         assert ch.exited.any()
         N = n * n
         U = np.empty((N, N), dtype=complex)
@@ -327,7 +319,7 @@ class TestEvolution:
 
     def test_zero_horizon_conjugation_is_exact(self):
         g = coarse_grid()
-        ch = backward_characteristics(scenario_hamiltonian("harmonic"), g, 0.0, 1e-2, "zero")
+        ch = backward_characteristics(scenario_hamiltonian("harmonic"), g, 0.0, 1e-2)
         K = kernel_from_wavefunction(packet(g)).K
         np.testing.assert_array_equal(kernel_propagator(ch, hbar=1.0).conjugate(K), K)
 

@@ -8,6 +8,7 @@ from kvhsim.contact import ContactTransform, apply_van_hove, equivariance_residu
 from kvhsim.grid import PhaseGrid, ScalarField, l2_norm
 from kvhsim.hamiltonian import (
     backward_characteristics,
+    central_gradient,
     flow_with_action,
     polynomial_hamiltonian,
     scenario_hamiltonian,
@@ -35,6 +36,21 @@ def quarter_turn(grid):
 class TestLift:
     def test_connection_membership(self, quarter_turn):
         assert quarter_turn.connection_residual() < 1e-4
+
+    @pytest.mark.parametrize("name", ["quartic", "pendulum"])
+    def test_connection_membership_of_anharmonic_flows(self, name):
+        g = PhaseGrid(-2, 2, -2, 2, 16, 16)
+        T = ContactTransform(scenario_hamiltonian(name), 0.7, 0.3, g)
+        assert T.connection_residual() < 1e-4
+
+    @pytest.mark.parametrize("name", ["harmonic", "quartic", "pendulum"])
+    def test_flow_is_unimodular(self, name):
+        # Liouville: eta preserves area, so its Jacobian determinant is 1
+        g = PhaseGrid(-2, 2, -2, 2, 16, 16)
+        T = ContactTransform(scenario_hamiltonian(name), 0.7, 0.0, g)
+        (dq_dq, dp_dq), (dq_dp, dp_dp) = central_gradient(T.eta, g.Q, g.P, 1e-5)
+        det = dq_dq * dp_dp - dq_dp * dp_dq
+        assert np.max(np.abs(det - 1.0)) < 1e-5
 
     def test_inverse_composes_to_identity(self, quarter_turn, grid):
         q, p = quarter_turn.eta(grid.Q, grid.P)
@@ -113,3 +129,16 @@ class TestEquivariance:
         H_rot = polynomial_hamiltonian("half_p2", {(0, 2): 0.5})
         r = equivariance_residual(quarter_turn, H, psi, composed=H_rot)
         assert r < 1e-5
+
+    @pytest.mark.parametrize("t", [0.4, np.pi / 4, 3 * np.pi / 4], ids=["0.4", "pi/4", "3pi/4"])
+    def test_composition_at_other_angles(self, grid, psi, t):
+        # the time-t harmonic flow rotates q to q cos t + p sin t; off the
+        # quarter turns the nodes land between nodes, so the bicubic
+        # interpolation floor (~3e-4 at 64 nodes) bounds the residual
+        c, s = np.cos(t), np.sin(t)
+        T = ContactTransform(scenario_hamiltonian("harmonic"), t, 0.0, grid)
+        H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
+        composed = polynomial_hamiltonian(
+            "half_q2_rotated", {(2, 0): c * c / 2, (1, 1): c * s, (0, 2): s * s / 2}
+        )
+        assert equivariance_residual(T, H, psi, composed=composed) < 1e-3

@@ -145,6 +145,13 @@ class TestDerivatives:
         with pytest.raises(NonFiniteFieldError):
             poisson_bracket(ScalarField(g, bad), ScalarField(g, np.zeros((8, 8))))
 
+    def test_nonfinite_second_argument_rejected(self):
+        g = make_grid(8)
+        bad = np.zeros((8, 8))
+        bad[2, 5] = np.inf
+        with pytest.raises(NonFiniteFieldError):
+            poisson_bracket(ScalarField(g, np.zeros((8, 8))), ScalarField(g, bad))
+
 
 class TestInterpolation:
     """The periodic cubic spline agrees with scipy's, the reference it replaced."""
@@ -199,6 +206,14 @@ class TestBracketAndMeasure:
         np.testing.assert_allclose(
             poisson_bracket(f, h).values, np.cos(g.Q) * np.cos(g.P), atol=1e-11
         )
+
+    def test_brackets_with_coordinates_are_the_partials(self):
+        # {q, f} = df/dp and {p, f} = -df/dq; FD4 is exact on the linear q and p
+        g = PhaseGrid(-2, 2, -3, 3, 16, 12, FD4)
+        f = ScalarField(g, np.cos(g.Q + 2 * g.P))
+        q, p = ScalarField(g, g.Q), ScalarField(g, g.P)
+        np.testing.assert_allclose(poisson_bracket(q, f).values, g.ddp(f.values), atol=1e-12)
+        np.testing.assert_allclose(poisson_bracket(p, f).values, -g.ddq(f.values), atol=1e-12)
 
     def test_bracket_antisymmetry(self):
         g = make_grid(32)

@@ -11,6 +11,8 @@ from kvhsim.hamiltonian import (
     HamiltonianSpec,
     OneForm,
     canonical_one_form,
+    central_gradient,
+    coefficient_fields,
     flow_map,
     flow_with_action,
     jmap,
@@ -82,6 +84,23 @@ class TestPolynomialAlgebra:
 
 
 class TestGeometricObjects:
+    def test_coefficient_fields(self):
+        # X_H = (b, -a) = (p, -q) and L_H = p dH/dp - H for the oscillator
+        g = PhaseGrid(-2, 2, -2, 2, 8, 8)
+        a, b, lh = coefficient_fields(scenario_hamiltonian("harmonic"), g)
+        np.testing.assert_allclose(a, g.Q)
+        np.testing.assert_allclose(b, g.P)
+        np.testing.assert_allclose(lh, (g.P**2 - g.Q**2) / 2)
+
+    def test_constant_coefficients_fill_the_grid(self):
+        g = PhaseGrid(-2, 2, -2, 2, 8, 6)
+        a, b, lh = coefficient_fields(polynomial_hamiltonian("c", {(0, 0): 4.0}), g)
+        for f, value in ((a, 0.0), (b, 0.0), (lh, -4.0)):
+            assert f.shape == (8, 6)
+            np.testing.assert_array_equal(f, value)
+        lh[0, 0] = 1.0
+        assert lh[1, 1] == -4.0
+
     def test_canonical_one_form_and_jmap(self):
         g = PhaseGrid(-2, 2, -2, 2, 8, 8)
         A = canonical_one_form(g)
@@ -129,6 +148,13 @@ class TestFlows:
         q0, p0 = flow_map(H, -0.8, (q1, p1), dt=1e-3)
         assert q0 == pytest.approx(0.9, abs=1e-9)
         assert p0 == pytest.approx(0.1, abs=1e-9)
+
+    def test_flow_is_unimodular(self):
+        H = scenario_hamiltonian("quartic")
+        (dq_dq, dp_dq), (dq_dp, dp_dp) = central_gradient(
+            lambda q, p: flow_map(H, 1.5, (q, p), dt=1e-3), np.array([0.4]), np.array([0.8]), 1e-5
+        )
+        assert dq_dq[0] * dp_dp[0] - dq_dp[0] * dp_dq[0] == pytest.approx(1.0, abs=1e-5)
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -1,6 +1,8 @@
 """Serialization formats and the command-line harness."""
 
 import os
+import re
+import struct
 import subprocess
 import sys
 import textwrap
@@ -12,7 +14,7 @@ import pytest
 
 from kvhsim import cli, hamiltonian
 from kvhsim.fieldio import FormatError, load_field, save_field, write_csv_log
-from kvhsim.grid import PhaseGrid, ScalarField
+from kvhsim.grid import FD4, PhaseGrid, ScalarField
 
 
 @pytest.fixture
@@ -56,6 +58,58 @@ class TestBinaryFormat:
         path.write_bytes(b"KVHF\x00")
         with pytest.raises(FormatError):
             load_field(path)
+
+
+class TestBinaryLayout:
+    """The exact bytes save_field writes and the exact errors load_field raises."""
+
+    def test_layout_is_header_then_little_endian_complex128(self, tmp_path):
+        g = PhaseGrid(-4, 4, -2, 2, 2, 3)
+        values = np.arange(6).reshape(2, 3) * (1 + 0.5j)
+        path = tmp_path / "f.kvhf"
+        save_field(path, ScalarField(g, values))
+        header = b"KVHF" + struct.pack("<II4f", 2, 3, -4, 4, -2, 2) + bytes(4)
+        assert path.read_bytes() == header + values.astype("<c16").tobytes()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda raw: raw[:10], "{path}: truncated header"),
+            (lambda raw: b"NOPE" + raw[4:], "{path}: bad magic b'NOPE'"),
+            (lambda raw: raw[:-8], "{path}: expected 4128 bytes, found 4120"),
+        ],
+        ids=["header", "magic", "length"],
+    )
+    def test_error_messages(self, tmp_path, field, corrupt, message):
+        path = tmp_path / "f.kvhf"
+        save_field(path, field)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(FormatError, match=f"^{re.escape(message.format(path=path))}$"):
+            load_field(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, field):
+        path = tmp_path / "f.kvhf"
+        save_field(path, field)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(FormatError, match="expected 4128 bytes, found 4144"):
+            load_field(path)
+
+    def test_rectangular_grid_roundtrip(self, tmp_path):
+        g = PhaseGrid(-3, 5, -2, 2, 12, 20)
+        rng = np.random.default_rng(4)
+        f = ScalarField(g, rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20)))
+        path = tmp_path / "f.kvhf"
+        save_field(path, f)
+        back = load_field(path)
+        np.testing.assert_array_equal(back.values, f.values)
+        assert (back.grid.n_q, back.grid.n_p) == (12, 20)
+        assert (back.grid.q_min, back.grid.q_max, back.grid.p_min, back.grid.p_max) == (-3, 5, -2, 2)
+
+    def test_boundary_mode_is_the_callers(self, tmp_path, field):
+        path = tmp_path / "f.kvhf"
+        save_field(path, field)
+        assert load_field(path).grid.bc == "periodic"
+        assert load_field(path, FD4).grid.bc == FD4
 
 
 class TestCsvFormats:

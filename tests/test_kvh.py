@@ -51,6 +51,12 @@ class TestWavefunctions:
             np.conj(hermitian_inner(phi, psi))
         )
 
+    def test_inner_product_with_itself_is_the_squared_norm(self, psi):
+        # the symplectic form 2 Im<psi, psi> vanishes on the diagonal
+        inner = hermitian_inner(psi, psi)
+        assert inner.imag == pytest.approx(0.0, abs=1e-12)
+        assert inner.real == pytest.approx(psi.norm() ** 2, rel=1e-12)
+
     @settings(max_examples=15, deadline=None)
     @given(
         q0=st.floats(-2, 2),

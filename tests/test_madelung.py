@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from kvhsim.grid import FD4, EvolutionAborted, PhaseGrid, ScalarField, integrate, l1_norm
-from kvhsim.hamiltonian import HamiltonianSpec, scenario_hamiltonian
-from kvhsim.kvh import gaussian_wavepacket
+from kvhsim.grid import FD4, PERIODIC, EvolutionAborted, PhaseGrid, ScalarField, integrate, l1_norm
+from kvhsim.hamiltonian import HamiltonianSpec, coefficient_fields, scenario_hamiltonian
+from kvhsim.kvh import gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import (
     PolarPair,
+    _lie_coefficients,
+    _lie_derivative_one_form,
     classical_density,
     classical_density_from_hydro,
     evolve_polar,
@@ -53,6 +55,15 @@ class TestMomentumMaps:
         rho_h = classical_density_from_hydro(hydro_from_wavefunction(psi))
         assert l1_norm(ScalarField(grid, rho.values - rho_h.values)) < 1e-8
 
+    def test_energy_representations_agree(self, grid, psi):
+        # the KvH energy in hydrodynamic variables: integral of X_H·sigma - D L_H
+        H = scenario_hamiltonian("harmonic")
+        h = hydro_from_wavefunction(psi)
+        a, b, lh = coefficient_fields(H, grid)
+        integrand = b * h.sigma.a_q.values - a * h.sigma.a_p.values - h.D.values * lh
+        e_hydro = float(np.real(grid.integrate_values(integrand)))
+        assert kvh_energy(H, psi) == pytest.approx(e_hydro, abs=1e-10)
+
 
 class TestPolarEvolution:
     def test_density_mass_conserved(self):
@@ -92,3 +103,28 @@ class TestPolarEvolution:
         )
         with pytest.raises(ValueError, match="second partials"):
             one_form_transport_residual([pair] * 3, [0.0, 0.1, 0.2], H)
+
+
+
+def cartan_defect(name, n, bc):
+    """Max defect of Cartan's formula: the Lie derivative of dF along X_H
+    is d(X_H·grad F), for a Gaussian F well inside a box of n x n nodes."""
+    g = PhaseGrid(-6, 6, -6, 6, n, n, bc)
+    F = np.exp(-((g.Q - 0.3) ** 2) - (g.P + 0.2) ** 2)
+    F_q, F_p = -2 * (g.Q - 0.3) * F, -2 * (g.P + 0.2) * F
+    coeffs = _lie_coefficients(scenario_hamiltonian(name), g)
+    a, b, _ = coeffs
+    G = b * F_q - a * F_p
+    lie_q, lie_p = _lie_derivative_one_form(F_q, F_p, coeffs, g)
+    return max(np.max(np.abs(lie_q - g.ddq(G))), np.max(np.abs(lie_p - g.ddp(G))))
+
+
+@pytest.mark.parametrize("name", ["harmonic", "quartic", "pendulum"])
+def test_lie_derivative_of_exact_form_is_exact(name):
+    # F is at round-off on the box edge, so spectral derivatives are exact
+    assert cartan_defect(name, 96, PERIODIC) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["harmonic", "quartic", "pendulum"])
+def test_lie_derivative_fd4_converges_at_fourth_order(name):
+    assert cartan_defect(name, 96, FD4) / cartan_defect(name, 192, FD4) > 12.0

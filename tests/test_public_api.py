@@ -10,7 +10,10 @@ which a test compares a function of a CLI path against.
 """
 
 import ast
+import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kvhsim"
@@ -43,10 +46,10 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
-def definitions():
+def definitions(package=PACKAGE):
     """(key, path, first line, last line) of every public definition."""
     out = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not _public(node.name):
@@ -60,10 +63,10 @@ def definitions():
     return out
 
 
-def references():
+def references(package=PACKAGE, callers=ROOT / "perfbench"):
     """(path, line, name) of every name, attribute and identifier-like string."""
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(callers.glob("*.py"))
     out = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -79,16 +82,19 @@ def references():
     return out
 
 
-def test_every_public_name_has_a_caller():
-    refs = references()
-    unused = []
-    for key, path, first, last in definitions():
+def uncalled(package=PACKAGE, callers=ROOT / "perfbench"):
+    """Keys of the public definitions referenced nowhere outside themselves."""
+    refs = references(package, callers)
+    out = []
+    for key, path, first, last in definitions(package):
         name = key.rsplit(".", 1)[1]
-        used = any(
-            n == name and not (p == path and first <= line <= last) for p, line, n in refs
-        )
-        if not used and key not in ALLOWED:
-            unused.append(key)
+        if not any(n == name and not (p == path and first <= line <= last) for p, line, n in refs):
+            out.append(key)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    unused = [key for key in uncalled() if key not in ALLOWED]
     assert unused == [], f"public names with no caller outside tests: {unused}"
 
 
@@ -96,3 +102,64 @@ def test_allowlist_names_existing_definitions():
     keys = {key for key, *_ in definitions()}
     assert sorted(set(ALLOWED) - keys) == []
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+@pytest.fixture
+def toy(tmp_path):
+    """A package `pkg` and a caller directory `bench`, both empty."""
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "bench").mkdir()
+    return tmp_path
+
+
+def write(path, source):
+    path.write_text(textwrap.dedent(source))
+
+
+def test_guard_flags_a_function_only_its_own_body_names(toy):
+    write(toy / "pkg" / "m.py", """
+        def used():
+            return 1
+
+        def recursive(n):
+            return recursive(n - 1) if n else used()
+    """)
+    assert uncalled(toy / "pkg", toy / "bench") == ["m.recursive"]
+
+
+def test_guard_skips_private_names_and_counts_methods(toy):
+    write(toy / "pkg" / "m.py", """
+        class Box:
+            def size(self):
+                return self._size()
+
+            def _size(self):
+                return 0
+
+            def unused(self):
+                return 1
+
+        def _helper():
+            return Box().size()
+    """)
+    assert uncalled(toy / "pkg", toy / "bench") == ["m.Box.unused"]
+
+
+def test_guard_counts_callers_and_binding_strings_but_not_reexports(toy):
+    write(toy / "pkg" / "m.py", """
+        def timed():
+            return 1
+
+        def benched():
+            return 2
+
+        def exported():
+            return 3
+    """)
+    write(toy / "pkg" / "__init__.py", "from .m import exported\n")
+    write(toy / "bench" / "run.py", """
+        import pkg.m
+        FUNCTIONS = ["timed"]
+        pkg.m.benched()
+    """)
+    assert uncalled(toy / "pkg", toy / "bench") == ["m.exported"]

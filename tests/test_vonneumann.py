@@ -9,7 +9,7 @@ from kvhsim.hamiltonian import (
     polynomial_hamiltonian,
     scenario_hamiltonian,
 )
-from kvhsim.kvh import apply_prequantum, characteristics_oracle, gaussian_wavepacket
+from kvhsim.kvh import apply_prequantum, characteristics_oracle, gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import HydroState, hydro_from_wavefunction
 from kvhsim.vonneumann import (
     KernelError,
@@ -128,6 +128,16 @@ class TestOperatorDiscretization:
         via_matrix = (L @ psi.field.values.reshape(-1)).reshape(24, 24)
         via_op = apply_prequantum(H, psi).field.values
         np.testing.assert_allclose(via_matrix, via_op, atol=1e-10)
+
+    def test_kernel_energy_matches_wavefunction_energy(self):
+        # h(Theta) = Tr(L_H Theta) = weight * sum(L * K.T) for Theta = |psi><psi|
+        g = coarse_grid()
+        H = scenario_hamiltonian("harmonic")
+        psi = packet(g)
+        theta = kernel_from_wavefunction(psi)
+        L = prequantum_matrix(H, g, theta.hbar)
+        energy = float(np.real(np.sum(L * theta.K.T))) * theta.weight
+        assert energy == pytest.approx(kvh_energy(H, psi), abs=1e-10)
 
     def test_derivative_matrices_match_grid(self):
         rng = np.random.default_rng(7)

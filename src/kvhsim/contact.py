@@ -4,15 +4,17 @@ Only lifts of Hamiltonian flows are constructed: the time-t flow of X_G
 paired with the phase accumulated from -L_G along the trajectories. Such
 pairs preserve the connection one-form, and their unitary action reduces
 to composition with the inverse flow times a phase (the flow has unit
-Jacobian, so no density factor appears). Nodes whose characteristic leaves
-the box are zeroed, which is valid for wavefunctions supported away from
-the outflow region. The equivariance residual compares the conjugated
+Jacobian, so no density factor appears). The lift is unique only up to a
+constant phase, taken to be zero: no check can see it, as the equivariance
+residual conjugates it away and |UΨ|² drops it. Nodes whose characteristic
+leaves the box are zeroed, which is valid for wavefunctions supported away
+from the outflow region. The equivariance residual compares the conjugated
 prequantum operator with that of a closed-form composition H∘η.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,18 +37,13 @@ class ContactTransform:
 
     generator: the Hamiltonian G whose flow is lifted.
     time: flow time.
-    theta: constant phase offset (the lift is unique only up to it).
     flow_dt: step used when integrating trajectories.
     """
 
     generator: HamiltonianSpec
     time: float
-    theta: float
     grid: PhaseGrid
     flow_dt: float = 1e-3
-    _inverse: "ContactTransform | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @cached_property
     def backward(self) -> Characteristics:
@@ -59,13 +56,8 @@ class ContactTransform:
         return flow_map(self.generator, self.time, (q, p), self.flow_dt)
 
     def inverse(self) -> "ContactTransform":
-        """The lift of the time -t flow, built once, so that its `backward`
-        is flowed once; the inverse of the inverse is this transform."""
-        if self._inverse is None:
-            inv = ContactTransform(self.generator, -self.time, -self.theta, self.grid, self.flow_dt)
-            inv._inverse = self
-            self._inverse = inv
-        return self._inverse
+        """The lift of the time -t flow."""
+        return ContactTransform(self.generator, -self.time, self.grid, self.flow_dt)
 
     def connection_residual(self) -> float:
         """L2 residual of the membership condition eta*A + dphi = A."""
@@ -77,10 +69,8 @@ class ContactTransform:
             return qf, action
 
         # one flow per displaced node set serves both off-grid central differences
-        (deta_q, daction_q), (deta_p, daction_p) = central_gradient(
-            eta_q_and_action, g.Q, g.P, 1e-5
-        )
-        # pullback (eta*A)_i = p(eta(z)) * d eta_q / d z_i; phi = theta - action
+        (deta_q, daction_q), (deta_p, daction_p) = central_gradient(eta_q_and_action, g.Q, g.P)
+        # pullback (eta*A)_i = p(eta(z)) * d eta_q / d z_i; phi = -action
         res_q = pc * deta_q - daction_q - g.P
         res_p = pc * deta_p - daction_p
         return float(
@@ -95,13 +85,11 @@ class ContactTransform:
 def apply_van_hove(T: ContactTransform, psi: WaveFunction) -> WaveFunction:
     """Unitary action: U Ψ(z) = exp(-i phi(η⁻¹ z)/ħ) Ψ(η⁻¹ z).
 
-    phi evaluated at η⁻¹(z) equals theta plus the action accumulated on
-    the backward trajectory, so U is the characteristics oracle on the
-    lift's backward characteristics, times exp(-i theta/ħ).
+    phi evaluated at η⁻¹(z) is the action accumulated on the backward
+    trajectory, so U is the characteristics oracle on the lift's backward
+    characteristics.
     """
-    moved = characteristics_oracle(psi, T.backward)
-    values = np.exp(-1j * T.theta / psi.hbar) * moved.field.values
-    return WaveFunction(ScalarField(psi.grid, values), psi.hbar)
+    return characteristics_oracle(psi, T.backward)
 
 
 def equivariance_residual(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import PERIODIC, PhaseGrid, ScalarField
+from .grid import PhaseGrid, ScalarField
 
 MAGIC = b"KVHF"
 _HEADER = struct.Struct("<4sII4f4x")
@@ -32,8 +32,8 @@ def save_field(path, f: ScalarField) -> None:
         fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
 
 
-def load_field(path, bc: str = PERIODIC) -> ScalarField:
-    """The field save_field wrote, on a grid of the stored box with boundary mode bc."""
+def load_field(path) -> ScalarField:
+    """The field save_field wrote, on a periodic grid of the stored box."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
@@ -44,7 +44,7 @@ def load_field(path, bc: str = PERIODIC) -> ScalarField:
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
     values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(n_q, n_p)
-    grid = PhaseGrid(float(q_min), float(q_max), float(p_min), float(p_max), n_q, n_p, bc)
+    grid = PhaseGrid(float(q_min), float(q_max), float(p_min), float(p_max), n_q, n_p)
     return ScalarField(grid, values.copy())
 
 

@@ -32,14 +32,14 @@ class NonFiniteFieldError(GridError):
 class EvolutionAborted(RuntimeError):
     """A time-stepped state went non-finite.
 
-    t is the time of the last finite state the solve yielded, and last_good
-    that state when the solver kept a snapshot of it (else None).
+    t is the time of the last finite state the solve yielded. A solver that
+    kept a snapshot of that state sets last_good to it; else it is None.
     """
 
-    def __init__(self, message, t, last_good=None):
+    def __init__(self, message, t):
         super().__init__(message)
         self.t = t
-        self.last_good = last_good
+        self.last_good = None
 
 
 def spectral_ik(n: int, spacing: float) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Classical Hamiltonians and derived geometric objects.
 
-Hamiltonians carry closed-form first (and optionally second) partials so
-that characteristics-based oracles can be evaluated off-grid without any
+Hamiltonians carry closed-form first and second partials so that
+characteristics-based oracles can be evaluated off-grid without any
 dependence on the field discretization.
 """
 
@@ -9,55 +9,57 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid, ScalarField, interpolate_field
 
 Func2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
+CENTRAL_STEP = 1e-5
 
 
 class HamiltonianError(ValueError):
     pass
 
 
-def central_gradient(f, q, p, step: float):
-    """(df/dq, df/dp) at (q, p) by central differences of the given step.
+def central_gradient(f, q, p):
+    """(df/dq, df/dp) at (q, p) by central differences of step CENTRAL_STEP.
 
     When f returns a tuple, each partial is the tuple of partials.
     """
     def diff(plus, minus):
         if isinstance(plus, tuple):
             return tuple(diff(a, b) for a, b in zip(plus, minus))
-        return (plus - minus) / (2 * step)
+        return (plus - minus) / (2 * CENTRAL_STEP)
 
-    return diff(f(q + step, p), f(q - step, p)), diff(f(q, p + step), f(q, p - step))
+    h = CENTRAL_STEP
+    return diff(f(q + h, p), f(q - h, p)), diff(f(q, p + h), f(q, p - h))
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Classical Hamiltonian with closed-form partial derivatives.
+    """Classical Hamiltonian with closed-form first and second partials.
 
-    h_qq / h_qp / h_pp are optional second partials, needed only by
-    consumers that differentiate the Hamiltonian vector field (the one-form
-    transport residual).
+    The second partials h_qq / h_qp / h_pp serve the consumers that
+    differentiate the Hamiltonian vector field (the one-form transport
+    residual).
     """
 
     name: str
     h: Func2
     h_q: Func2
     h_p: Func2
-    h_qq: Optional[Func2] = None
-    h_qp: Optional[Func2] = None
-    h_pp: Optional[Func2] = None
+    h_qq: Func2
+    h_qp: Func2
+    h_pp: Func2
 
     def __post_init__(self):
         # the supplied first partials must match central differences of h
         rng = np.random.default_rng(1234)
         q = rng.uniform(-3.0, 3.0, 32)
         p = rng.uniform(-3.0, 3.0, 32)
-        fd_q, fd_p = central_gradient(self.h, q, p, 1e-5)
+        fd_q, fd_p = central_gradient(self.h, q, p)
         for fd, exact, label in ((fd_q, self.h_q(q, p), "dH/dq"), (fd_p, self.h_p(q, p), "dH/dp")):
             scale = np.abs(fd) + np.abs(exact) + 1.0
             rel = np.max(np.abs(fd - exact) / scale)

@@ -117,12 +117,6 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def cfl_number(H: HamiltonianSpec, grid: PhaseGrid, dt: float) -> float:
-    a, b, _ = coefficient_fields(H, grid)
-    speed = np.max(np.abs(b)) / grid.dq + np.max(np.abs(a)) / grid.dp
-    return dt * speed
-
-
 def evolve(
     H: HamiltonianSpec,
     psi0: WaveFunction,
@@ -153,7 +147,7 @@ def evolve(
         np.multiply(phase_rate, values, out=work)
         np.add(d, work, out=d)
 
-    cfl = cfl_number(H, grid, dt)
+    cfl = dt * (np.max(np.abs(b)) / grid.dq + np.max(np.abs(a)) / grid.dp)
     if cfl > 0.5:
         warnings.warn(
             f"advisory CFL number {cfl:.2f} exceeds 0.5",
@@ -196,25 +190,17 @@ def kvh_energy(H: HamiltonianSpec, psi: WaveFunction) -> float:
     return hermitian_inner(psi, apply_prequantum(H, psi)).real
 
 
-def commutator_residual(
-    H: HamiltonianSpec,
-    F: HamiltonianSpec,
-    psi: WaveFunction,
-    bracket: HamiltonianSpec | None = None,
-) -> float:
+def commutator_residual(H: HamiltonianSpec, F: HamiltonianSpec, psi: WaveFunction) -> float:
     """Relative residual of [L̂_H, L̂_F] = iħ L̂_{H,F} on psi.
 
-    `bracket` is the closed-form Poisson bracket {H,F}; it is derived
-    automatically when both Hamiltonians are polynomial.
+    Both Hamiltonians must be polynomial, so that the Poisson bracket {H,F}
+    has a closed form.
     """
-    if bracket is None:
-        if isinstance(H, PolynomialHamiltonian) and isinstance(F, PolynomialHamiltonian):
-            bracket = H.poisson_with(F)
-        else:
-            raise ValueError("closed-form {H,F} required for non-polynomial inputs")
+    if not (isinstance(H, PolynomialHamiltonian) and isinstance(F, PolynomialHamiltonian)):
+        raise ValueError("closed-form {H,F} required for non-polynomial inputs")
     hf = apply_prequantum(H, apply_prequantum(F, psi))
     fh = apply_prequantum(F, apply_prequantum(H, psi))
-    hb = apply_prequantum(bracket, psi)
+    hb = apply_prequantum(H.poisson_with(F), psi)
     resid = (
         hf.field.values
         - fh.field.values

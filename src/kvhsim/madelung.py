@@ -121,8 +121,6 @@ def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float,
 def _lie_coefficients(H: HamiltonianSpec, g: PhaseGrid):
     """(dH/dq, dH/dp) on the grid, so X_H = (dH/dp, -dH/dq), and the Jacobian
     rows of X_H ((d_q Xq, d_q Xp), (d_p Xq, d_p Xp))."""
-    if H.h_qq is None or H.h_qp is None or H.h_pp is None:
-        raise ValueError(f"{H.name}: second partials required for Lie-derivative transport")
     a, b, _ = coefficient_fields(H, g)
     h_qq = self_broadcast(H.h_qq(g.Q, g.P), g)
     h_qp = self_broadcast(H.h_qp(g.Q, g.P), g)

@@ -3,7 +3,8 @@
 Split-step Schrodinger evolution on a periodic configuration-space grid,
 the hydrodynamic momentum map (momentum density, density), and the two
 Madelung residuals (continuity and momentum balance with the quantum
-potential).
+potential). The particle has unit mass, and coherent states are those of
+the unit-frequency oscillator V = x²/2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import _spectral_1d, spectral_ik, time_steps
+from .grid import EvolutionAborted, _spectral_1d, spectral_ik, time_steps
+
+MASK_EPS = 1e-6
 
 
 @dataclass(eq=False)
@@ -53,43 +56,43 @@ class QWaveFunction:
     grid: LineGrid
     values: np.ndarray
     hbar: float = 1.0
-    mass: float = 1.0
 
     def norm(self) -> float:
         return float(np.sqrt(np.real(self.grid.integrate(np.abs(self.values) ** 2))))
 
     def copy(self) -> "QWaveFunction":
-        return QWaveFunction(self.grid, self.values.copy(), self.hbar, self.mass)
+        return QWaveFunction(self.grid, self.values.copy(), self.hbar)
 
 
-def coherent_state(
-    grid: LineGrid, x0: float, p0: float, omega: float = 1.0, hbar: float = 1.0, mass: float = 1.0
-) -> QWaveFunction:
-    """Gaussian coherent state of the harmonic oscillator, normalized on the grid."""
-    width = np.sqrt(hbar / (mass * omega))
+def coherent_state(grid: LineGrid, x0: float, p0: float, hbar: float = 1.0) -> QWaveFunction:
+    """Gaussian coherent state of V = x²/2, normalized on the grid."""
+    width = np.sqrt(hbar)
     values = np.exp(
         -((grid.x - x0) ** 2) / (2 * width**2) + 1j * p0 * grid.x / hbar
     ).astype(complex)
-    psi = QWaveFunction(grid, values, hbar, mass)
-    psi.values /= psi.norm()
+    psi = QWaveFunction(grid, values, hbar)
+    # an unresolved width leaves a zero norm; schrodinger_evolve reports the NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi.values /= psi.norm()
     return psi
 
 
-def schrodinger_evolve(
-    psi0: QWaveFunction, V: np.ndarray, t_final: float, dt: float, stride: int = 0
-):
-    """Strang split-step evolution of iħ dpsi/dt = -ħ²/(2m) psi'' + V psi.
+def schrodinger_evolve(psi0: QWaveFunction, V: np.ndarray, t_final: float, dt: float):
+    """Strang split-step evolution of iħ dpsi/dt = -ħ²/2 psi'' + V psi.
 
-    Returns (times, snapshots). V must be sampled on the grid.
+    Returns (times, snapshots), a snapshot at every step: the residuals use
+    centered time differences, so the snapshot spacing enters squared. V
+    must be sampled on the grid. A non-finite step raises EvolutionAborted,
+    whose t is the last kept time.
     """
     g = psi0.grid
-    hbar, mass = psi0.hbar, psi0.mass
+    hbar = psi0.hbar
     V = np.asarray(V, dtype=float)
     if V.shape != (g.n,):
         raise ValueError("potential must be sampled on the grid")
     n_steps, dt = time_steps(t_final, dt)
     half_v = np.exp(-0.5j * V * dt / hbar)
-    kinetic = np.exp(-0.5j * hbar * g.k**2 * dt / mass)
+    kinetic = np.exp(-0.5j * hbar * g.k**2 * dt)
     values = psi0.values.astype(complex).copy()
     times = [0.0]
     snaps = [psi0.copy()]
@@ -98,10 +101,9 @@ def schrodinger_evolve(
         values = np.fft.ifft(kinetic * np.fft.fft(values))
         values = half_v * values
         if not np.all(np.isfinite(values)):
-            raise RuntimeError(f"NaN in Schrodinger evolution at step {step}")
-        if (stride and step % stride == 0) or step == n_steps:
-            times.append(step * dt)
-            snaps.append(QWaveFunction(g, values.copy(), hbar, mass))
+            raise EvolutionAborted(f"NaN in Schrodinger evolution at step {step}", times[-1])
+        times.append(step * dt)
+        snaps.append(QWaveFunction(g, values.copy(), hbar))
     return times, snaps
 
 
@@ -115,15 +117,14 @@ def quantum_madelung_momap(psi: QWaveFunction):
 def quantum_energy(psi: QWaveFunction, V: np.ndarray) -> float:
     g = psi.grid
     dpsi = g.ddx(psi.values)
-    kinetic = (psi.hbar**2 / (2 * psi.mass)) * np.abs(dpsi) ** 2
+    kinetic = (psi.hbar**2 / 2) * np.abs(dpsi) ** 2
     potential = V * np.abs(psi.values) ** 2
     return float(np.real(g.integrate(kinetic + potential)))
 
 
 def continuity_residual(times, snapshots):
-    """L2 residual time-series of dD/dt + (mu/m)' at interior snapshots."""
+    """L2 residual time-series of dD/dt + mu' at interior snapshots."""
     g = snapshots[0].grid
-    mass = snapshots[0].mass
     out = []
     for k in range(1, len(snapshots) - 1):
         dt_c = times[k + 1] - times[k - 1]
@@ -131,30 +132,30 @@ def continuity_residual(times, snapshots):
         D_next = np.abs(snapshots[k + 1].values) ** 2
         dD = (D_next - D_prev) / dt_c
         mu, _ = quantum_madelung_momap(snapshots[k])
-        res = dD + g.ddx(mu / mass)
+        res = dD + g.ddx(mu)
         out.append(float(np.sqrt(np.real(g.integrate(res**2)))))
     return out
 
 
-def bohm_potential_residual(times, snapshots, V: np.ndarray, mask_eps: float = 1e-6):
-    """L2 residual of dv/dt + v v' + (1/m)(V + Q)' over the supported region.
+def bohm_potential_residual(times, snapshots, V: np.ndarray):
+    """L2 residual of dv/dt + v v' + (V + Q)' over the supported region.
 
-    v = mu/(m D); nodes where D falls below mask_eps at the snapshot or
+    v = mu/D; nodes where D is at or below MASK_EPS at the snapshot or
     its neighbors are excluded. Spatial derivatives are only ever taken
     of the globally smooth fields mu, D and V, then combined pointwise;
     differentiating masked ratios (v, Q) directly would spray Gibbs
     oscillations from the density tails across the whole line.
     """
     g = snapshots[0].grid
-    hbar, mass = snapshots[0].hbar, snapshots[0].mass
+    hbar = snapshots[0].hbar
     # local stencils for the potential: V need not be periodic, and the
     # spectral derivative of a non-periodic sample is polluted everywhere
     Vx = np.gradient(np.asarray(V, dtype=float), g.dx, edge_order=2)
 
     def vel(psi):
         mu, D = quantum_madelung_momap(psi)
-        safe = np.where(D > mask_eps, D, 1.0)
-        return np.where(D > mask_eps, mu / (mass * safe), 0.0), D
+        safe = np.where(D > MASK_EPS, D, 1.0)
+        return np.where(D > MASK_EPS, mu / safe, 0.0), D
 
     out = []
     for k in range(1, len(snapshots) - 1):
@@ -162,20 +163,20 @@ def bohm_potential_residual(times, snapshots, V: np.ndarray, mask_eps: float = 1
         v_prev, D_prev = vel(snapshots[k - 1])
         v_next, D_next = vel(snapshots[k + 1])
         mu, D = quantum_madelung_momap(snapshots[k])
-        mask = (D > mask_eps) & (D_prev > mask_eps) & (D_next > mask_eps)
+        mask = (D > MASK_EPS) & (D_prev > MASK_EPS) & (D_next > MASK_EPS)
         if not mask.any():
             raise ValueError("entire domain masked; density too small everywhere")
         Ds = np.where(mask, D, 1.0)
-        v = np.where(mask, mu / (mass * Ds), 0.0)
+        v = np.where(mask, mu / Ds, 0.0)
         dv = (v_next - v_prev) / dt_c
-        # v' = (mu' D - mu D') / (m D^2), pointwise
+        # v' = (mu' D - mu D') / D^2, pointwise
         D1 = g.ddx(D)
-        vx = (g.ddx(mu) * D - mu * D1) / (mass * Ds**2)
-        # Q' from the log form Q = -(hbar^2/4m)(D''/D - D'^2/(2 D^2))
+        vx = (g.ddx(mu) * D - mu * D1) / Ds**2
+        # Q' from the log form Q = -(hbar^2/4)(D''/D - D'^2/(2 D^2))
         D2 = g.ddx(D1)
         D3 = g.ddx(D2)
-        Qx = -(hbar**2 / (4 * mass)) * (D3 / Ds - 2 * D1 * D2 / Ds**2 + D1**3 / Ds**3)
-        res = np.where(mask, dv + v * vx + (Vx + Qx) / mass, 0.0)
+        Qx = -(hbar**2 / 4) * (D3 / Ds - 2 * D1 * D2 / Ds**2 + D1**3 / Ds**3)
+        res = np.where(mask, dv + v * vx + (Vx + Qx), 0.0)
         out.append(float(np.sqrt(np.real(g.integrate(res**2)))))
     return out
 

@@ -64,16 +64,11 @@ class VNKernel:
     def hermiticity_residual(self) -> float:
         return float(np.max(np.abs(self.K - self.K.conj().T)))
 
-    def casimir(self, n: int = 2) -> float:
-        """Tr(Theta^n) with quadrature weights."""
+    def casimir(self) -> float:
+        """Tr(Theta^2) with quadrature weights."""
         M = self.K * self.weight
-        if n < 2:
-            return float(np.real(np.trace(np.linalg.matrix_power(M, n))))
-        # Tr(P M) = sum(P * M.T): n - 2 matmuls for P = M^(n-1)
-        P = M
-        for _ in range(n - 2):
-            P = P @ M
-        return float(np.real(np.sum(P * M.T)))
+        # Tr(M M) = sum(M * M.T), without the matmul
+        return float(np.real(np.sum(M * M.T)))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the operator (weighted kernel matrix), sorted."""
@@ -360,13 +355,10 @@ def point_particle_kernel(D_target: ScalarField, hbar: float = 1.0) -> VNKernel:
         raise KernelError(f"target density integrates to {total:.6g}, expected 1")
     fine = _upsample2(D_target.values)
     # midpoint of nodes (iq,ip) and (jq,jp) has fine-grid index (iq+jq, ip+jp)
-    iq = np.arange(g.n_q)
-    ip = np.arange(g.n_p)
-    fq = (iq[:, None] + iq[None, :]).astype(int)
-    fp = (ip[:, None] + ip[None, :]).astype(int)
-    FQ = np.repeat(np.repeat(fq, g.n_p, axis=0), g.n_p, axis=1)
-    FP = np.tile(np.tile(fp, (g.n_q, 1)), (1, g.n_q))
-    Dmid = fine[FQ, FP]
+    fq = np.add.outer(np.arange(g.n_q), np.arange(g.n_q))
+    fp = np.add.outer(np.arange(g.n_p), np.arange(g.n_p))
+    n = g.n_q * g.n_p
+    Dmid = fine[fq[:, None, :, None], fp[None, :, None, :]].reshape(n, n)
     q = _flatten(g.Q)
     p = _flatten(g.P)
     phase = np.exp((1j / (2 * hbar)) * (p[:, None] + p[None, :]) * (q[:, None] - q[None, :]))

@@ -49,6 +49,9 @@ class TestLibrary:
                 h=lambda q, p: q**2,
                 h_q=lambda q, p: 3 * q,  # wrong
                 h_p=lambda q, p: 0.0 * q,
+                h_qq=lambda q, p: 2.0 + 0.0 * q,
+                h_qp=lambda q, p: 0.0 * q,
+                h_pp=lambda q, p: 0.0 * q,
             )
 
 
@@ -152,7 +155,7 @@ class TestFlows:
     def test_flow_is_unimodular(self):
         H = scenario_hamiltonian("quartic")
         (dq_dq, dp_dq), (dq_dp, dp_dp) = central_gradient(
-            lambda q, p: flow_map(H, 1.5, (q, p), dt=1e-3), np.array([0.4]), np.array([0.8]), 1e-5
+            lambda q, p: flow_map(H, 1.5, (q, p), dt=1e-3), np.array([0.4]), np.array([0.8])
         )
         assert dq_dq[0] * dp_dp[0] - dq_dp[0] * dp_dq[0] == pytest.approx(1.0, abs=1e-5)
 

@@ -14,7 +14,7 @@ import pytest
 
 from kvhsim import cli, hamiltonian
 from kvhsim.fieldio import FormatError, load_field, save_field, write_csv_log
-from kvhsim.grid import FD4, PhaseGrid, ScalarField
+from kvhsim.grid import PhaseGrid, ScalarField
 
 
 @pytest.fixture
@@ -104,12 +104,6 @@ class TestBinaryLayout:
         np.testing.assert_array_equal(back.values, f.values)
         assert (back.grid.n_q, back.grid.n_p) == (12, 20)
         assert (back.grid.q_min, back.grid.q_max, back.grid.p_min, back.grid.p_max) == (-3, 5, -2, 2)
-
-    def test_boundary_mode_is_the_callers(self, tmp_path, field):
-        path = tmp_path / "f.kvhf"
-        save_field(path, field)
-        assert load_field(path).grid.bc == "periodic"
-        assert load_field(path, FD4).grid.bc == FD4
 
 
 class TestCsvFormats:
@@ -289,6 +283,20 @@ class TestCommandLine:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {message}")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_qhd_blow_up_is_one_line_usage_error(self, tmp_path, capsys):
+        # no grid resolves the coherent state's width at this hbar, so its
+        # state is NaN from the start
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nscenario = qhd-coherent\nhbar = 1e-300\nchecks = qhd\n")
+        with warnings.catch_warnings():
+            # a warning would print a second line to stderr
+            warnings.simplefilter("error")
+            rc = cli.main(["run", "--config", str(ini), "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: NaN in Schrodinger evolution at step 1")
         assert len(err.strip().splitlines()) == 1
 
     def test_kernel_error_is_one_line_usage_error(self, tmp_path, capsys):

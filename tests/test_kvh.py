@@ -14,7 +14,6 @@ from kvhsim.kvh import (
     EvolutionAborted,
     WaveFunction,
     apply_prequantum,
-    cfl_number,
     characteristics_oracle,
     commutator_residual,
     evolve,
@@ -182,8 +181,3 @@ class TestCharacteristics:
         vals = interpolate_field(psi.field, grid.Q, grid.P)
         np.testing.assert_allclose(vals, psi.field.values, atol=1e-12)
 
-
-def test_cfl_number_scales_linearly():
-    g = PhaseGrid(-8, 8, -8, 8, 64, 64)
-    H = scenario_hamiltonian("harmonic")
-    assert cfl_number(H, g, 2e-3) == pytest.approx(2 * cfl_number(H, g, 1e-3))

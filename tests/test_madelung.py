@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvhsim.grid import FD4, PERIODIC, EvolutionAborted, PhaseGrid, ScalarField, integrate, l1_norm
-from kvhsim.hamiltonian import HamiltonianSpec, coefficient_fields, scenario_hamiltonian
+from kvhsim.hamiltonian import coefficient_fields, scenario_hamiltonian
 from kvhsim.kvh import gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import (
     PolarPair,
@@ -93,16 +93,6 @@ class TestPolarEvolution:
         with pytest.raises(EvolutionAborted, match="non-finite state"):
             evolve_polar(pair, H, 200.0, 0.5)
 
-    def test_second_partials_required(self):
-        g, pair = polar_pair(24)
-        H = HamiltonianSpec(
-            name="no2nd",
-            h=lambda q, p: 0.5 * p**2,
-            h_q=lambda q, p: 0.0 * q,
-            h_p=lambda q, p: p + 0.0 * q,
-        )
-        with pytest.raises(ValueError, match="second partials"):
-            one_form_transport_residual([pair] * 3, [0.0, 0.1, 0.2], H)
 
 
 

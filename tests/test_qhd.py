@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kvhsim.qhd import (
+    MASK_EPS,
     LineGrid,
     QWaveFunction,
     bohm_potential_residual,
@@ -60,27 +61,30 @@ class TestEvolution:
         with pytest.raises(ValueError):
             schrodinger_evolve(psi0, np.zeros(7), 0.1, 1e-2)
 
-    def test_snapshot_stride(self, grid, harmonic):
+    def test_a_snapshot_at_every_step(self, grid, harmonic):
         psi0 = coherent_state(grid, x0=1.0, p0=0.0)
-        times, snaps = schrodinger_evolve(psi0, harmonic, 0.1, 1e-2, stride=5)
-        assert times == pytest.approx([0.0, 0.05, 0.1])
-        assert len(snaps) == 3
+        times, snaps = schrodinger_evolve(psi0, harmonic, 0.03, 1e-2)
+        assert times == pytest.approx([0.0, 0.01, 0.02, 0.03])
+        assert len(snaps) == 4
 
 
 class TestHydrodynamicResiduals:
     def test_continuity(self, grid, harmonic):
         psi0 = coherent_state(grid, x0=1.0, p0=0.0)
-        times, snaps = schrodinger_evolve(psi0, harmonic, 0.2, 1e-3, stride=1)
+        times, snaps = schrodinger_evolve(psi0, harmonic, 0.2, 1e-3)
         assert max(continuity_residual(times, snaps)) < 1e-5
 
     def test_bohm_momentum_balance(self, grid, harmonic):
         psi0 = coherent_state(grid, x0=1.0, p0=0.0)
-        times, snaps = schrodinger_evolve(psi0, harmonic, 0.2, 1e-3, stride=1)
+        times, snaps = schrodinger_evolve(psi0, harmonic, 0.2, 1e-3)
         assert max(bohm_potential_residual(times, snaps, harmonic)) < 1e-4
 
     def test_all_masked_rejected(self, grid, harmonic):
+        # a peak density near 0.56e-8, below MASK_EPS at every node
         psi0 = coherent_state(grid, x0=1.0, p0=0.0)
-        times, snaps = schrodinger_evolve(psi0, harmonic, 0.01, 1e-3, stride=1)
-        with pytest.raises(ValueError):
-            bohm_potential_residual(times, snaps, harmonic, mask_eps=1e9)
+        psi0.values *= 1e-4
+        times, snaps = schrodinger_evolve(psi0, harmonic, 0.01, 1e-3)
+        assert max(np.abs(s.values).max() ** 2 for s in snaps) < MASK_EPS
+        with pytest.raises(ValueError, match="entire domain masked"):
+            bohm_potential_residual(times, snaps, harmonic)
 

@@ -106,17 +106,15 @@ class TestKernelBasics:
     def test_casimir_of_rank1(self):
         g = coarse_grid()
         theta = kernel_from_wavefunction(packet(g))
-        assert theta.casimir(2) == pytest.approx(1.0, abs=1e-10)
-        assert theta.casimir(3) == pytest.approx(1.0, abs=1e-10)
+        assert theta.casimir() == pytest.approx(1.0, abs=1e-10)
 
     def test_casimir_matches_matrix_power(self):
         g = PhaseGrid(-4, 4, -4, 4, 3, 3)
         rng = np.random.default_rng(11)
         K = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         theta = VNKernel(g, K)
-        for n in range(1, 5):
-            ref = np.real(np.trace(np.linalg.matrix_power(K * theta.weight, n)))
-            assert theta.casimir(n) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        ref = np.real(np.trace(np.linalg.matrix_power(K * theta.weight, 2)))
+        assert theta.casimir() == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 class TestOperatorDiscretization:
@@ -214,7 +212,7 @@ class TestEvolution:
         theta0 = kernel_from_wavefunction(packet(g))
         theta_t = evolve_kernel(theta0, H, 0.2, 5e-3)
         assert abs(theta_t.trace() - 1.0) < 1e-12
-        assert abs(theta_t.casimir(2) - theta0.casimir(2)) < 1e-10
+        assert abs(theta_t.casimir() - theta0.casimir()) < 1e-10
         assert theta_t.hermiticity_residual() < 1e-12
 
     @pytest.mark.parametrize(
@@ -352,6 +350,24 @@ class TestPointParticle:
         # kernel diagonal reproduces the target density exactly
         np.testing.assert_allclose(state.D.values, D.values, atol=1e-13)
         assert sigma_defect(state) < 1e-5
+
+    def test_midpoint_gather_on_a_rectangular_grid(self):
+        # entry (i, j) is the upsampled density at the midpoint of nodes i and
+        # j times the closed-form phase; n_q != n_p catches a swapped axis
+        g = PhaseGrid(-3, 4, -2, 2.5, 9, 12, FD4)
+        env = np.exp(-((g.Q - 0.7) ** 2) - 2 * (g.P - 0.1) ** 2)
+        D = ScalarField(g, env / np.real(g.integrate_values(env)))
+        fine = _upsample2(D.values)
+        nodes = [(iq, ip) for iq in range(9) for ip in range(12)]
+        K = np.array([
+            [fine[iq + jq, ip + jp]
+             * np.exp(1j / 6.0 * (g.P[iq, ip] + g.P[jq, jp]) * (g.Q[iq, ip] - g.Q[jq, jp]))
+             for jq, jp in nodes]
+            for iq, ip in nodes
+        ])
+        np.testing.assert_allclose(
+            point_particle_kernel(D, hbar=3.0).K, 0.5 * (K + K.conj().T), rtol=1e-13, atol=1e-15
+        )
 
     def test_centroid(self):
         g = centered_grid()

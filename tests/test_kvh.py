@@ -181,3 +181,16 @@ class TestCharacteristics:
         vals = interpolate_field(psi.field, grid.Q, grid.P)
         np.testing.assert_allclose(vals, psi.field.values, atol=1e-12)
 
+
+def test_cfl_number_scales_linearly():
+    # evolve's advisory CFL number is dt times the fastest transport speed
+    g = PhaseGrid(-8, 8, -8, 8, 64, 64)
+    psi = gaussian_wavepacket(g, center=(0.5, 0.3), sigma=(0.7, 0.7))
+    H = scenario_hamiltonian("harmonic")
+    cfl = []
+    for dt in (1e-2, 2e-2):
+        with pytest.warns(RuntimeWarning, match="advisory CFL number") as record:
+            evolve(H, psi, dt, dt, record_energy=False)
+        cfl.append(float(str(record[0].message).split()[3]))
+    assert cfl[0] == pytest.approx(0.64)
+    assert cfl[1] == pytest.approx(2 * cfl[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvhsim.grid import FD4, PERIODIC, EvolutionAborted, PhaseGrid, ScalarField, integrate, l1_norm
-from kvhsim.hamiltonian import coefficient_fields, scenario_hamiltonian
+from kvhsim.hamiltonian import HamiltonianSpec, coefficient_fields, scenario_hamiltonian
 from kvhsim.kvh import gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import (
     PolarPair,
@@ -93,7 +93,16 @@ class TestPolarEvolution:
         with pytest.raises(EvolutionAborted, match="non-finite state"):
             evolve_polar(pair, H, 200.0, 0.5)
 
-
+    def test_second_partials_required(self):
+        # the one-form transport residual differentiates X_H, so a
+        # Hamiltonian without its second partials cannot be built
+        with pytest.raises(TypeError, match="'h_qq', 'h_qp', and 'h_pp'"):
+            HamiltonianSpec(
+                name="no2nd",
+                h=lambda q, p: 0.5 * p**2,
+                h_q=lambda q, p: 0.0 * q,
+                h_p=lambda q, p: p + 0.0 * q,
+            )
 
 
 def cartan_defect(name, n, bc):

@@ -519,8 +519,8 @@ def run_command(args) -> int:
     try:
         for name in checks:
             results.extend(CHECKS[name](ctx))
-    except (vonneumann.KernelError, kvh.EvolutionAborted) as exc:
-        # an ill-conditioned kernel basis or a dt beyond the stability limit
+    except (vonneumann.KernelError, kvh.EvolutionAborted, qhd.UnresolvedStateError) as exc:
+        # an ill-conditioned kernel basis, an unstable dt or an unresolved hbar
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

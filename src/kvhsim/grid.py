@@ -368,55 +368,61 @@ def time_steps(t_final: float, dt: float):
     return n, t_final / n
 
 
+def _advance(state, k, h, stage):
+    """stage = state + h k, component by component."""
+    for s, dk, x in zip(state, k, stage):
+        np.multiply(h, dk, out=x)
+        np.add(s, x, out=x)
+
+
+def rk4_step(rhs, state: tuple, dt: float, buffers) -> None:
+    """One classical RK4 step of d(state)/dt = rhs(state), in place.
+
+    state is a tuple of arrays, overwritten with the stepped state. rhs is
+    called as rhs(*stage, out=k) and writes the derivative of each component
+    into the matching array of the tuple k. buffers holds k1, k2, k3, k4 and
+    the stage input, five tuples of arrays shaped like state. The stage
+    expressions keep one evaluation order, s + (0.5 dt) k and
+    s + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so every solver rounds alike.
+    """
+    k1, k2, k3, k4, stage = buffers
+    rhs(*state, out=k1)
+    _advance(state, k1, 0.5 * dt, stage)
+    rhs(*stage, out=k2)
+    _advance(state, k2, 0.5 * dt, stage)
+    rhs(*stage, out=k3)
+    _advance(state, k3, dt, stage)
+    rhs(*stage, out=k4)
+    # the stage input and k2 are free now: they hold the weighted sum
+    for s, a, b, c, d, x in zip(state, k1, k2, k3, k4, stage):
+        np.multiply(2, b, out=x)
+        np.add(a, x, out=x)
+        np.multiply(2, c, out=b)
+        np.add(x, b, out=x)
+        np.add(x, d, out=x)
+        np.multiply(dt / 6, x, out=x)
+        np.add(s, x, out=s)
+
+
 def rk4_steps(rhs, state: tuple, t_final: float, dt: float, stride: int = 0):
-    """Step d(state)/dt = rhs(state) from t = 0 to t_final by classical RK4.
+    """Step d(state)/dt = rhs(state) from t = 0 to t_final by rk4_step.
 
     The step count and the step landing on t_final come from time_steps.
     Yields (t, state) after every `stride`-th step (stride 0: none) and after
     the last one; t_final = 0 yields nothing. A state that turns non-finite
     raises EvolutionAborted, whose t is that of the last yield (0 before any).
 
-    state is a tuple of arrays, stepped in place: every yield carries that
-    same tuple, overwritten by the next step, so copy the arrays to keep them.
-    rhs is called as rhs(*stage, out=k) and writes the derivative of each
-    component into the matching array of the tuple k. The four k tuples and
-    the stage input are allocated once, and released before the last yield.
-    The stage expressions keep one evaluation order, s + (0.5 dt) k and
-    s + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so every solver rounds alike.
+    state is stepped in place: every yield carries that same tuple,
+    overwritten by the next step, so copy the arrays to keep them. The
+    stage buffers are allocated once, and released before the last yield.
     """
     n_steps, dt = time_steps(t_final, dt)
-    # k1, k2, k3, k4 and the stage input
     buffers = [tuple(np.empty_like(s) for s in state) for _ in range(5)]
-
-    def advance(k, h, stage):
-        for s, dk, x in zip(state, k, stage):
-            np.multiply(h, dk, out=x)
-            np.add(s, x, out=x)
-
-    def rk4_step():
-        k1, k2, k3, k4, stage = buffers
-        rhs(*state, out=k1)
-        advance(k1, 0.5 * dt, stage)
-        rhs(*stage, out=k2)
-        advance(k2, 0.5 * dt, stage)
-        rhs(*stage, out=k3)
-        advance(k3, dt, stage)
-        rhs(*stage, out=k4)
-        # the stage input and k2 are free now: they hold the weighted sum
-        for s, a, b, c, d, x in zip(state, k1, k2, k3, k4, stage):
-            np.multiply(2, b, out=x)
-            np.add(a, x, out=x)
-            np.multiply(2, c, out=b)
-            np.add(x, b, out=x)
-            np.add(x, d, out=x)
-            np.multiply(dt / 6, x, out=x)
-            np.add(s, x, out=s)
-
     t_yielded = 0.0
     for step in range(1, n_steps + 1):
         # a blow-up is reported once, by EvolutionAborted, not by overflow warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            rk4_step()
+            rk4_step(rhs, state, dt, buffers)
         if not all(np.isfinite(s).all() for s in state):
             raise EvolutionAborted(
                 f"non-finite state at RK4 step {step} of {n_steps}: "

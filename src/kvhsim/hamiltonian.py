@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridMismatchError, PhaseGrid, ScalarField, interpolate_field
+from .grid import GridMismatchError, PhaseGrid, ScalarField, interpolate_field, rk4_step
 
 Func2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 CENTRAL_STEP = 1e-5
@@ -71,12 +71,7 @@ class HamiltonianSpec:
 
     def lagrangian(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Phase-space Lagrangian p * dH/dp - H."""
-        return _lagrangian(self, q, p, self.h_p(q, p))
-
-
-def _lagrangian(H: HamiltonianSpec, q, p, h_p):
-    """L_H = p * dH/dp - H, given dH/dp at (q, p)."""
-    return p * h_p - H.h(q, p)
+        return p * self.h_p(q, p) - self.h(q, p)
 
 
 # -- polynomial Hamiltonians ----------------------------------------------
@@ -227,37 +222,36 @@ def jmap(a: OneForm):
 
 # -- flows -----------------------------------------------------------------
 
-def _rk4_step(H: HamiltonianSpec, q, p, a, h: float):
-    def rhs(q, p):
-        dq = H.h_p(q, p)
-        return dq, -H.h_q(q, p), _lagrangian(H, q, p, dq)
-
-    k1 = rhs(q, p)
-    k2 = rhs(q + 0.5 * h * k1[0], p + 0.5 * h * k1[1])
-    k3 = rhs(q + 0.5 * h * k2[0], p + 0.5 * h * k2[1])
-    k4 = rhs(q + h * k3[0], p + h * k3[1])
-    q_new = q + (h / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    p_new = p + (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    a_new = a + (h / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return q_new, p_new, a_new
+# one flow step of every node in q, named so that a tracer can count the steps
+def _rk4_step(rhs, q, p, a, h: float, buffers):
+    rk4_step(rhs, (q, p, a), h, buffers)
 
 
 def flow_with_action(H: HamiltonianSpec, t: float, q0, p0, dt: float = 1e-3):
     """Integrate the Hamiltonian flow together with the action integral.
 
     Returns (q(t), p(t), integral of L_H along the trajectory). Negative t
-    integrates backwards. Vectorized over arrays of initial points.
+    integrates backwards. Vectorized over arrays of initial points, stepped
+    in place by ceil(|t| / dt) grid.rk4_step calls in buffers allocated once.
     """
-    q = np.asarray(q0, dtype=float).copy()
-    p = np.asarray(p0, dtype=float).copy()
+    q, p = (np.array(v, dtype=float) for v in np.broadcast_arrays(q0, p0))
     a = np.zeros_like(q)
     if t == 0:
         return q, p, a
     n_steps = max(1, int(math.ceil(abs(t) / abs(dt))))
     h = t / n_steps
+
+    def rhs(q, p, _, out):
+        dq, dp, da = out
+        dq[...] = H.h_p(q, p)
+        np.negative(H.h_q(q, p), out=dp)
+        np.multiply(p, dq, out=da)
+        np.subtract(da, H.h(q, p), out=da)
+
+    buffers = [tuple(np.empty_like(q) for _ in range(3)) for _ in range(5)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            q, p, a = _rk4_step(H, q, p, a, h)
+            _rk4_step(rhs, q, p, a, h, buffers)
     return q, p, a
 
 

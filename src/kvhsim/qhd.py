@@ -64,16 +64,27 @@ class QWaveFunction:
         return QWaveFunction(self.grid, self.values.copy(), self.hbar)
 
 
+class UnresolvedStateError(ValueError):
+    """A sampled state has a zero or non-finite norm on its grid."""
+
+
 def coherent_state(grid: LineGrid, x0: float, p0: float, hbar: float = 1.0) -> QWaveFunction:
-    """Gaussian coherent state of V = x²/2, normalized on the grid."""
+    """Gaussian coherent state of V = x²/2, normalized on the grid.
+
+    A zero or non-finite sampled norm, as from a width sqrt(ħ) far below the
+    grid spacing, raises UnresolvedStateError."""
     width = np.sqrt(hbar)
     values = np.exp(
         -((grid.x - x0) ** 2) / (2 * width**2) + 1j * p0 * grid.x / hbar
     ).astype(complex)
     psi = QWaveFunction(grid, values, hbar)
-    # an unresolved width leaves a zero norm; schrodinger_evolve reports the NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi.values /= psi.norm()
+    norm = psi.norm()
+    if not (np.isfinite(norm) and norm > 0):
+        raise UnresolvedStateError(
+            f"coherent state at hbar = {hbar:.3g} (width {width:.3g}) has norm {norm:.3g} "
+            f"on a grid of spacing dx = {grid.dx:.3g}"
+        )
+    psi.values /= norm
     return psi
 
 

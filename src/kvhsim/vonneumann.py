@@ -163,17 +163,6 @@ class KernelPropagator(NamedTuple):
     phase: np.ndarray
     taps: tuple | None
 
-    def __matmul__(self, M: np.ndarray) -> np.ndarray:
-        """U M, for M of shape (N,) or (N, m)."""
-        if self.taps is None:
-            return M.copy()
-        g = self.grid
-        M = M.astype(complex, copy=False)
-        C = spline_prefilter(M.reshape(g.n_q, g.n_p, *M.shape[1:]), (0, 1))
-        out = apply_taps(self.taps, C.reshape(M.shape))
-        out *= self.phase.reshape(-1, *(1,) * (M.ndim - 1))
-        return out
-
     def conjugate(self, K: np.ndarray) -> np.ndarray:
         """U K U^H, as Φ W (P K P^T) W^T Φ*: P acts on the four axes of K
         as an (n_q, n_p, n_q, n_p) array, then W one tap at a time on the

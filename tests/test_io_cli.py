@@ -286,8 +286,8 @@ class TestCommandLine:
         assert len(err.strip().splitlines()) == 1
 
     def test_qhd_blow_up_is_one_line_usage_error(self, tmp_path, capsys):
-        # no grid resolves the coherent state's width at this hbar, so its
-        # state is NaN from the start
+        # no grid resolves the coherent state's width at this hbar, so the
+        # state is refused before the first step
         ini = tmp_path / "run.ini"
         ini.write_text("[run]\nscenario = qhd-coherent\nhbar = 1e-300\nchecks = qhd\n")
         with warnings.catch_warnings():
@@ -296,7 +296,8 @@ class TestCommandLine:
             rc = cli.main(["run", "--config", str(ini), "--outdir", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: NaN in Schrodinger evolution at step 1")
+        assert err.startswith("configuration error: coherent state at hbar = 1e-300")
+        assert "dx = 0.0781" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_kernel_error_is_one_line_usage_error(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from kvhsim.qhd import (
     MASK_EPS,
     LineGrid,
     QWaveFunction,
+    UnresolvedStateError,
     bohm_potential_residual,
     coherent_state,
     continuity_residual,
@@ -30,6 +31,12 @@ class TestStates:
     def test_coherent_state_normalized(self, grid):
         psi = coherent_state(grid, x0=1.0, p0=0.5)
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("hbar", [1e-300, 1e-30])
+    def test_unresolved_coherent_state_is_refused(self, grid, hbar):
+        # the width sqrt(hbar) is far below dx, so every sample underflows to 0
+        with pytest.raises(UnresolvedStateError, match=r"hbar = .*dx = 0\.0781"):
+            coherent_state(grid, x0=1.0, p0=0.0, hbar=hbar)
 
     def test_plane_wave_momentum_density(self, grid):
         k = 2 * np.pi * 3 / 20.0  # grid-commensurate wavenumber

@@ -1,16 +1,19 @@
 """The in-place RK4 solvers against an out-of-place RK4 loop of their formulas.
 
-`grid.rk4_steps` steps every field solver in preallocated buffers, and each
-solver's right-hand side writes into them. Both must round exactly as the
-plain out-of-place loop below does on the right-hand sides written as
-formulas, so every field must come out equal, not merely close.
+`grid.rk4_step` steps every field solver and the Hamiltonian flow in
+preallocated buffers, and each right-hand side writes into them. Both must
+round exactly as the plain out-of-place loop below does on the right-hand
+sides written as formulas, so every array must come out equal, not merely
+close.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from kvhsim.grid import FD4, PERIODIC, PhaseGrid, ScalarField, time_steps
-from kvhsim.hamiltonian import coefficient_fields, scenario_hamiltonian
+from kvhsim.hamiltonian import coefficient_fields, flow_with_action, scenario_hamiltonian
 from kvhsim.kvh import evolve, gaussian_wavepacket
 from kvhsim.liouville import evolve_spectral
 from kvhsim.madelung import PolarPair, evolve_polar
@@ -19,8 +22,10 @@ T_FINAL, DT = 0.02, 2e-3
 
 
 def reference_rk4(rhs, state, t_final, dt):
-    """Classical RK4 to t_final, every stage and step a new array."""
-    n_steps, dt = time_steps(t_final, dt)
+    """Classical RK4 to t_final, every stage and step a new array; a negative
+    t_final steps backwards."""
+    n_steps, dt = time_steps(abs(t_final), dt)
+    dt = math.copysign(dt, t_final)
     for _ in range(n_steps):
         k1 = rhs(*state)
         k2 = rhs(*(s + 0.5 * dt * k for s, k in zip(state, k1)))
@@ -90,3 +95,19 @@ def test_evolve_polar(grid, H, psi):
     assert np.array_equal(snaps[-1].S.values, ref[0])
     assert np.array_equal(snaps[-1].D.values, ref[1])
 
+
+@pytest.mark.parametrize("t", [T_FINAL, -T_FINAL])
+def test_flow_with_action(H, t):
+    # the step ratio is an integer, so the flow's ceil(|t| / dt) steps are
+    # the reference's rounded count
+    assert math.ceil(T_FINAL / DT) == time_steps(T_FINAL, DT)[0]
+    rng = np.random.default_rng(5)
+    q0, p0 = rng.uniform(-2.0, 2.0, (2, 12, 10))
+
+    def rhs(q, p, a):
+        return H.h_p(q, p), -H.h_q(q, p), p * H.h_p(q, p) - H.h(q, p)
+
+    ref = reference_rk4(rhs, (q0, p0, np.zeros_like(q0)), t, DT)
+    out = flow_with_action(H, t, q0, p0, DT)
+    for got, want in zip(out, ref):
+        assert np.array_equal(got, want)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import contact, kvh, liouville, madelung, qhd, vonneumann
 from .fieldio import load_field, save_field, write_csv_log
-from .grid import FD4, PERIODIC, PhaseGrid, ScalarField, l1_norm, l2_norm, time_steps
+from .grid import FD4, PERIODIC, PhaseGrid, ScalarField, l1_norm, l2_norm, spectral_refine, time_steps
 from .hamiltonian import HamiltonianSpec, flow_map, polynomial_hamiltonian, scenario_hamiltonian
 
 OUTPUT_ROOT_ENV = "KVHSIM_OUTPUT_ROOT"
@@ -265,6 +265,15 @@ def _polar_initial(ctx: RunContext, n: int):
     return g, madelung.PolarPair(S0, D0)
 
 
+def _edge_content(values: np.ndarray) -> float:
+    """Share of the L2 norm of a periodic field held by the wavenumbers |k| >=
+    n/2 - 1 of either axis. The band-limited interpolant of the field misses
+    0.2 to 1 times that (harmonic and free packets, ħ 0.35 to 2)."""
+    power = np.abs(np.fft.fft2(values)) ** 2
+    q_edge, p_edge = (np.abs(np.fft.fftfreq(n, 1 / n)) >= n // 2 - 1 for n in values.shape)
+    return float(np.sqrt(power[q_edge[:, None] | p_edge[None, :]].sum() / power.sum()))
+
+
 def check_madelung(ctx: RunContext):
     # 192 nodes: the polar path carries a 4th-order truncation error in D
     # that dominates at 128; the comparison time is fixed at t = 1.
@@ -273,20 +282,23 @@ def check_madelung(ctx: RunContext):
     t_cmp = 1.0
     _, snaps = madelung.evolve_polar(pair0, ctx.H, t_cmp, cfg.dt)
     pair_t = snaps[-1]
-    # same nodes, spectral grid for the wavefunction path
-    gs = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, 192, 192)
-    psi0 = kvh.WaveFunction(
-        ScalarField(
-            gs,
-            np.sqrt(pair0.D.values) * np.exp(1j * pair0.S.values / cfg.hbar),
-        ),
-        cfg.hbar,
-    )
-    psi_t = kvh.evolve(ctx.H, psi0, t_cmp, cfg.dt, record_energy=False).final()
     recon = np.sqrt(np.maximum(pair_t.D.values, 0.0)) * np.exp(
         1j * pair_t.S.values / cfg.hbar
     )
-    err = l2_norm(ScalarField(gs, recon - psi_t.field.values))
+    # The wavefunction path runs on the spectral grid of every third node,
+    # 64², and spectral_refine evaluates it at all 192² nodes. Where its edge
+    # modes hold more than 1e-9, about the 192² solve's own error (a small ħ
+    # chirps the packet past 64²; the quartic and pendulum boxes cut it off
+    # unperiodically), it runs on all 192² nodes instead.
+    psi0 = np.sqrt(pair0.D.values) * np.exp(1j * pair0.S.values / cfg.hbar)
+    for stride in (3, 1):
+        n = 192 // stride
+        gs = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, n, n)
+        psi = kvh.WaveFunction(ScalarField(gs, psi0[::stride, ::stride]), cfg.hbar)
+        psi_t = kvh.evolve(ctx.H, psi, t_cmp, cfg.dt, record_energy=False).final().field.values
+        if _edge_content(psi_t) <= 1e-9:
+            break
+    err = l2_norm(ScalarField(g, recon - spectral_refine(psi_t, stride)))
     return [CheckResult("madelung_l2", err, cfg.tol("madelung_l2"))]
 
 

@@ -62,21 +62,23 @@ def _fd4_scratch(shape: tuple, dtype: np.dtype, axis: int):
     concurrently in several threads.
     """
     interior = tuple(n - 4 if i == axis else n for i, n in enumerate(shape))
-    return tuple(np.moveaxis(np.empty(interior, dtype), axis, 0) for _ in range(2))
+    return tuple(np.empty(interior, dtype).swapaxes(0, axis) for _ in range(2))
 
 
 def _fd4_1d(values: np.ndarray, h: float, axis: int, out=None) -> np.ndarray:
-    """4th-order finite difference along `axis`, one-sided at the edges.
+    """4th-order finite difference of a 2-D field along `axis`, one-sided at
+    the edges.
 
     The result is written into `out` when given; it must not share memory
     with `values`, whose neighbours the stencil still reads. The interior,
     ((v0 - 8 v1) + 8 v3 - v4) / (12 h), is formed in two cached arrays, so
     that a call allocates no field-sized temporary.
     """
-    v = np.moveaxis(values, axis, 0)
+    # views with `axis` first; swapaxes costs a small fraction of np.moveaxis
+    v = values.swapaxes(0, axis)
     if out is None:
         out = np.empty_like(values)
-    o = np.moveaxis(out, axis, 0)
+    o = out.swapaxes(0, axis)
     a, b = _fd4_scratch(values.shape, values.dtype, axis)
     np.multiply(8, v[1:-3], out=a)
     np.subtract(v[:-4], a, out=a)
@@ -342,6 +344,35 @@ def interpolate(values: np.ndarray, coords) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     coeffs = spline_prefilter(values, tuple(range(values.ndim))).reshape(-1)
     return apply_taps(spline_taps(coords, values.shape), coeffs).reshape(coords.shape[1:])
+
+
+def spectral_refine(values: np.ndarray, factor: int) -> np.ndarray:
+    """Band-limited interpolant of periodic samples on the grid `factor`
+    times finer along every axis, whose node factor·i is sample i.
+
+    The DFT of `values` is zero-padded to factor·n per axis (trigonometric
+    interpolation, Trefethen, Spectral Methods in MATLAB, ch. 3). An even
+    axis splits its Nyquist coefficient evenly between ±k_N, so real samples
+    give a real interpolant up to round-off. The result is complex.
+    """
+    if factor == 1:
+        return values.astype(complex)
+    # forward-normalised: the padded inverse sums the modes unscaled
+    coeffs = np.fft.fftn(values, norm="forward")
+    for axis, n in enumerate(values.shape):
+        c = coeffs.swapaxes(0, axis)
+        m = factor * n
+        padded = np.zeros((m,) + c.shape[1:], complex)
+        # frequencies 0 .. (n-1)//2, then the n//2 negative ones (the
+        # Nyquist frequency -n/2 among them for an even n)
+        n_pos, n_neg = (n + 1) // 2, n // 2
+        padded[:n_pos] = c[:n_pos]
+        padded[m - n_neg:] = c[n_pos:]
+        if n % 2 == 0:
+            padded[m - n_neg] *= 0.5
+            padded[n_neg] = padded[m - n_neg]
+        coeffs = padded.swapaxes(0, axis)
+    return np.fft.ifftn(coeffs, norm="forward")
 
 
 def interpolate_field(f: ScalarField, q, p) -> np.ndarray:

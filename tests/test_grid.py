@@ -23,6 +23,7 @@ from kvhsim.grid import (
     l2_norm,
     poisson_bracket,
     rk4_steps,
+    spectral_refine,
     time_steps,
 )
 
@@ -195,6 +196,65 @@ class TestInterpolation:
         assert interpolate(values, coords).shape == (16, 16)
         np.testing.assert_allclose(interpolate(values, coords), self.reference(values, coords),
                                    rtol=0, atol=1e-13)
+
+
+class TestSpectralRefine:
+    """Zero-padded trigonometric interpolation onto a finer periodic grid."""
+
+    SHAPES = [(16, 12), (15, 9), (16, 9)]
+
+    @staticmethod
+    def samples(shape, dtype, seed=3):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(shape)
+        if dtype is complex:
+            values = values + 1j * rng.standard_normal(shape)
+        return values
+
+    @staticmethod
+    def trig_polynomial(shape, dtype, factor):
+        """Random modes below the Nyquist frequency of `shape`, on its grid
+        and on the one `factor` times finer."""
+        rng = np.random.default_rng(4)
+        top = np.array([(n - 1) // 2 for n in shape])
+        coarse, fine = np.zeros(shape, complex), np.zeros([factor * n for n in shape], complex)
+        for _ in range(6):
+            k, l = rng.integers(-top, top + 1)
+            c = rng.standard_normal() + 1j * rng.standard_normal()
+            for out in (coarse, fine):
+                x, y = np.meshgrid(*(2 * np.pi * np.arange(n) / n for n in out.shape), indexing="ij")
+                out += c * np.exp(1j * (k * x + l * y))
+        if dtype is float:
+            return coarse.real, fine.real
+        return coarse, fine
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_reproduces_a_trigonometric_polynomial(self, shape, dtype, factor):
+        coarse, fine = self.trig_polynomial(shape, dtype, factor)
+        got = spectral_refine(coarse, factor)
+        assert got.shape == fine.shape
+        assert np.max(np.abs(got - fine)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_passes_through_the_samples(self, shape, dtype, factor):
+        values = self.samples(shape, dtype)
+        assert np.max(np.abs(spectral_refine(values, factor)[::factor, ::factor] - values)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", SHAPES + [(64, 64)])
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_real_samples_give_a_real_interpolant(self, shape, factor):
+        # an even axis must split its Nyquist coefficient between ±k_N
+        values = self.samples(shape, float)
+        assert np.max(np.abs(spectral_refine(values, factor).imag)) <= 1e-15 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_factor_one_returns_the_samples(self, dtype):
+        values = self.samples((16, 9), dtype)
+        assert np.array_equal(spectral_refine(values, 1), values)
 
 
 class TestBracketAndMeasure:

@@ -3,9 +3,27 @@
 import numpy as np
 import pytest
 
-from kvhsim.grid import FD4, PERIODIC, EvolutionAborted, PhaseGrid, ScalarField, integrate, l1_norm
+from kvhsim.cli import (
+    RunConfig,
+    RunContext,
+    _edge_content,
+    _polar_initial,
+    apply_scenario_defaults,
+    check_madelung,
+)
+from kvhsim.grid import (
+    FD4,
+    PERIODIC,
+    EvolutionAborted,
+    PhaseGrid,
+    ScalarField,
+    integrate,
+    l1_norm,
+    l2_norm,
+    spectral_refine,
+)
 from kvhsim.hamiltonian import HamiltonianSpec, coefficient_fields, scenario_hamiltonian
-from kvhsim.kvh import gaussian_wavepacket, kvh_energy
+from kvhsim.kvh import WaveFunction, evolve, gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import (
     PolarPair,
     _lie_coefficients,
@@ -103,6 +121,32 @@ class TestPolarEvolution:
                 h_q=lambda q, p: 0.0 * q,
                 h_p=lambda q, p: p + 0.0 * q,
             )
+
+
+def test_coarse_wavefunction_reference_is_resolved():
+    # the madelung check solves its wavefunction reference on every third
+    # node of its 192² polar grid and refines it spectrally to all of them
+    cfg = apply_scenario_defaults(RunConfig(scenario="harmonic-kvh"))
+    ctx = RunContext(cfg)
+    g, pair0 = _polar_initial(ctx, 192)
+    psi0 = np.sqrt(pair0.D.values) * np.exp(1j * pair0.S.values / cfg.hbar)
+    finals = []
+    for stride in (3, 1):
+        n = 192 // stride
+        gs = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, n, n)
+        psi = WaveFunction(ScalarField(gs, psi0[::stride, ::stride]), cfg.hbar)
+        finals.append(evolve(ctx.H, psi, 0.25, 2.5e-3, record_energy=False).final().field.values)
+    coarse, fine = finals
+    assert _edge_content(coarse) <= 1e-9  # so the check keeps the coarse reference
+    assert l2_norm(ScalarField(g, spectral_refine(coarse, 3) - fine)) <= 1e-9
+
+
+def test_small_hbar_solves_the_reference_on_the_polar_grid():
+    # at ħ = 0.25 the packet chirps past the 64² grid by t = 1; refined from
+    # there, the reference alone would be 6e-3 off and fail the check
+    cfg = apply_scenario_defaults(RunConfig(scenario="harmonic-kvh", dt=2.5e-3, hbar=0.25))
+    (result,) = check_madelung(RunContext(cfg))
+    assert result.value < result.tol
 
 
 def cartan_defect(name, n, bc):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import contact, kvh, liouville, madelung, qhd, vonneumann
 from .fieldio import load_field, save_field, write_csv_log
-from .grid import FD4, PERIODIC, PhaseGrid, ScalarField, l1_norm, l2_norm, spectral_refine, time_steps
+from .grid import FD4, PERIODIC, PhaseGrid, ScalarField, l1_norm, l2_norm, time_steps
 from .hamiltonian import HamiltonianSpec, flow_map, polynomial_hamiltonian, scenario_hamiltonian
 
 OUTPUT_ROOT_ENV = "KVHSIM_OUTPUT_ROOT"
@@ -250,55 +250,54 @@ def check_naturality(ctx: RunContext):
     ]
 
 
-def _polar_initial(ctx: RunContext, n: int):
-    """Smooth synthetic polar data: quadratic phase, narrow Gaussian density.
+def _polar_initial(ctx: RunContext, n_q: int, n_p: int) -> madelung.PolarPair:
+    """Smooth synthetic polar data on n_q x n_p nodes of the run's box:
+    quadratic phase, narrow Gaussian density.
 
-    Polar variables are differentiated with one-sided 4th-order closures
-    (S is a non-periodic polynomial), so this path runs on an FD4 grid.
+    S is a non-periodic polynomial, so it lies on an FD4 grid, whose stencils
+    and closures are exact up to degree 4. D is clear of the box edge, so it
+    lies on the periodic grid of the same nodes and is differentiated
+    spectrally.
     """
-    g = PhaseGrid(
-        ctx.cfg.q_min, ctx.cfg.q_max, ctx.cfg.p_min, ctx.cfg.p_max, n, n, FD4,
-    )
-    S0 = ScalarField(g, 0.3 * g.Q - 0.2 * g.P + 0.05 * g.Q * g.P)
-    env = np.exp(-((g.Q - 0.5) ** 2) / (2 * 0.8**2) - ((g.P - 0.3) ** 2) / (2 * 0.8**2))
-    D0 = ScalarField(g, env / np.real(g.integrate_values(env)))
-    return g, madelung.PolarPair(S0, D0)
+    cfg = ctx.cfg
+    gS = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, n_q, n_p, FD4)
+    gD = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, n_q, n_p)
+    S0 = ScalarField(gS, 0.3 * gS.Q - 0.2 * gS.P + 0.05 * gS.Q * gS.P)
+    env = np.exp(-((gD.Q - 0.5) ** 2) / (2 * 0.8**2) - ((gD.P - 0.3) ** 2) / (2 * 0.8**2))
+    D0 = ScalarField(gD, env / np.real(gD.integrate_values(env)))
+    return madelung.PolarPair(S0, D0)
 
 
 def _edge_content(values: np.ndarray) -> float:
     """Share of the L2 norm of a periodic field held by the wavenumbers |k| >=
-    n/2 - 1 of either axis. The band-limited interpolant of the field misses
-    0.2 to 1 times that (harmonic and free packets, ħ 0.35 to 2)."""
+    n/2 - 1 of either axis: a measure of how far the grid is from resolving
+    the field."""
     power = np.abs(np.fft.fft2(values)) ** 2
     q_edge, p_edge = (np.abs(np.fft.fftfreq(n, 1 / n)) >= n // 2 - 1 for n in values.shape)
     return float(np.sqrt(power[q_edge[:, None] | p_edge[None, :]].sum() / power.sum()))
 
 
 def check_madelung(ctx: RunContext):
-    # 192 nodes: the polar path carries a 4th-order truncation error in D
-    # that dominates at 128; the comparison time is fixed at t = 1.
+    # The polar pair and the wavefunction reference run on the same n² nodes,
+    # to the fixed comparison time t = 1. n is 64, unless the reference's edge
+    # modes there hold more than 1e-9 (a small ħ chirps the packet past 64²;
+    # the quartic and pendulum boxes cut it off unperiodically): then 192.
     cfg = ctx.cfg
-    g, pair0 = _polar_initial(ctx, 192)
     t_cmp = 1.0
+    for n in (64, 192):
+        pair0 = _polar_initial(ctx, n, n)
+        g = pair0.D.grid
+        psi0 = np.sqrt(pair0.D.values) * np.exp(1j * pair0.S.values / cfg.hbar)
+        psi = kvh.WaveFunction(ScalarField(g, psi0), cfg.hbar)
+        psi_t = kvh.evolve(ctx.H, psi, t_cmp, cfg.dt, record_energy=False).final().field.values
+        if _edge_content(psi_t) <= 1e-9:
+            break
     _, snaps = madelung.evolve_polar(pair0, ctx.H, t_cmp, cfg.dt)
     pair_t = snaps[-1]
     recon = np.sqrt(np.maximum(pair_t.D.values, 0.0)) * np.exp(
         1j * pair_t.S.values / cfg.hbar
     )
-    # The wavefunction path runs on the spectral grid of every third node,
-    # 64², and spectral_refine evaluates it at all 192² nodes. Where its edge
-    # modes hold more than 1e-9, about the 192² solve's own error (a small ħ
-    # chirps the packet past 64²; the quartic and pendulum boxes cut it off
-    # unperiodically), it runs on all 192² nodes instead.
-    psi0 = np.sqrt(pair0.D.values) * np.exp(1j * pair0.S.values / cfg.hbar)
-    for stride in (3, 1):
-        n = 192 // stride
-        gs = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, n, n)
-        psi = kvh.WaveFunction(ScalarField(gs, psi0[::stride, ::stride]), cfg.hbar)
-        psi_t = kvh.evolve(ctx.H, psi, t_cmp, cfg.dt, record_energy=False).final().field.values
-        if _edge_content(psi_t) <= 1e-9:
-            break
-    err = l2_norm(ScalarField(g, recon - spectral_refine(psi_t, stride)))
+    err = l2_norm(ScalarField(g, recon - psi_t))
     return [CheckResult("madelung_l2", err, cfg.tol("madelung_l2"))]
 
 
@@ -306,7 +305,7 @@ def check_transport(ctx: RunContext):
     # fine dt: the residual uses centered time differences and the
     # one-form carries O(domain-size) entries, so dt^2 truncation matters
     cfg = ctx.cfg
-    _, pair0 = _polar_initial(ctx, cfg.n_q)
+    pair0 = _polar_initial(ctx, cfg.n_q, cfg.n_p)
     times, snaps = madelung.evolve_polar(pair0, ctx.H, 0.05, 2.5e-4, stride=1)
     residuals = madelung.one_form_transport_residual(snaps, times, ctx.H)
     return [CheckResult("transport_residual", max(residuals), cfg.tol("transport_residual"))]

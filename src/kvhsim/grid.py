@@ -95,16 +95,29 @@ def _fd4_1d(values: np.ndarray, h: float, axis: int, out=None) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _spectral_scratch(shape: tuple) -> np.ndarray:
+    """A complex array of this shape: where `_spectral_1d` transforms a real
+    field. Every call on that shape shares it, so spectral derivatives must
+    not run concurrently in several threads."""
+    return np.empty(shape, complex)
+
+
 def _spectral_1d(values: np.ndarray, ik: np.ndarray, axis: int, out=None) -> np.ndarray:
     """Spectral derivative along `axis`, ik broadcast along it.
 
     A complex field is transformed, multiplied and transformed back inside
-    `out` (which may not be `values`); a real field keeps the real part.
+    `out`. A real field is cast into a cached complex array, differentiated
+    there in place, and its real part is copied out: the FFT of a real array
+    is that of its complex cast, bit for bit, and numpy's own cast would
+    allocate a field.
     """
     if np.isrealobj(values):
-        d = np.fft.ifft(ik * np.fft.fft(values, axis=axis), axis=axis).real
+        work = _spectral_scratch(values.shape)
+        np.copyto(work, values)
+        d = _spectral_1d(work, ik, axis, out=work).real
         if out is None:
-            return d
+            return d.copy()
         np.copyto(out, d)
         return out
     out = np.fft.fft(values, axis=axis, out=out)
@@ -344,35 +357,6 @@ def interpolate(values: np.ndarray, coords) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     coeffs = spline_prefilter(values, tuple(range(values.ndim))).reshape(-1)
     return apply_taps(spline_taps(coords, values.shape), coeffs).reshape(coords.shape[1:])
-
-
-def spectral_refine(values: np.ndarray, factor: int) -> np.ndarray:
-    """Band-limited interpolant of periodic samples on the grid `factor`
-    times finer along every axis, whose node factor·i is sample i.
-
-    The DFT of `values` is zero-padded to factor·n per axis (trigonometric
-    interpolation, Trefethen, Spectral Methods in MATLAB, ch. 3). An even
-    axis splits its Nyquist coefficient evenly between ±k_N, so real samples
-    give a real interpolant up to round-off. The result is complex.
-    """
-    if factor == 1:
-        return values.astype(complex)
-    # forward-normalised: the padded inverse sums the modes unscaled
-    coeffs = np.fft.fftn(values, norm="forward")
-    for axis, n in enumerate(values.shape):
-        c = coeffs.swapaxes(0, axis)
-        m = factor * n
-        padded = np.zeros((m,) + c.shape[1:], complex)
-        # frequencies 0 .. (n-1)//2, then the n//2 negative ones (the
-        # Nyquist frequency -n/2 among them for an even n)
-        n_pos, n_neg = (n + 1) // 2, n // 2
-        padded[:n_pos] = c[:n_pos]
-        padded[m - n_neg:] = c[n_pos:]
-        if n % 2 == 0:
-            padded[m - n_neg] *= 0.5
-            padded[n_neg] = padded[m - n_neg]
-        coeffs = padded.swapaxes(0, axis)
-    return np.fft.ifftn(coeffs, norm="forward")
 
 
 def interpolate_field(f: ScalarField, q, p) -> np.ndarray:

@@ -14,6 +14,7 @@ from itertools import chain
 import numpy as np
 
 from .grid import (
+    GridMismatchError,
     PhaseGrid,
     ScalarField,
     divergence,
@@ -99,22 +100,30 @@ def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float,
         dS/dt = L_H + {H, S},  dD/dt = {H, D}
     with coefficients sampled once; returns (times, snapshots), a snapshot
     every `stride` steps and at t_final. A non-finite step raises
-    EvolutionAborted."""
-    g = pair.S.grid
-    a, b, lh = coefficient_fields(H, g)
-    work = np.empty((g.n_q, g.n_p))
+    EvolutionAborted.
+
+    The two fields do not couple, so each is differentiated on its own grid:
+    S on pair.S.grid, D on pair.D.grid. Those must share their nodes (n_q,
+    n_p and bounds), else GridMismatchError; their bc may differ.
+    """
+    gS, gD = pair.S.grid, pair.D.grid
+    nodes = [(g.n_q, g.n_p, g.q_min, g.q_max, g.p_min, g.p_max) for g in (gS, gD)]
+    if nodes[0] != nodes[1]:
+        raise GridMismatchError(f"S and D lie on different nodes: {nodes[0]} and {nodes[1]}")
+    a, b, lh = coefficient_fields(H, gS)
+    work = np.empty((gS.n_q, gS.n_p))
 
     def rhs(S, D, out):
         dS, dD = out
-        g.bracket(a, b, S, out=dS, work=work)
+        gS.bracket(a, b, S, out=dS, work=work)
         np.add(lh, dS, out=dS)
-        g.bracket(a, b, D, out=dD, work=work)
+        gD.bracket(a, b, D, out=dD, work=work)
 
     state = (pair.S.values.astype(float), pair.D.values.astype(float))
     times, snaps = [], []
     for t, (S, D) in chain([(0.0, state)], rk4_steps(rhs, state, t_final, dt, stride)):
         times.append(t)
-        snaps.append(PolarPair(ScalarField(g, S.copy()), ScalarField(g, D.copy())))
+        snaps.append(PolarPair(ScalarField(gS, S.copy()), ScalarField(gD, D.copy())))
     return times, snaps
 
 

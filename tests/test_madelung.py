@@ -3,27 +3,27 @@
 import numpy as np
 import pytest
 
+from kvhsim import cli, madelung
 from kvhsim.cli import (
     RunConfig,
     RunContext,
     _edge_content,
-    _polar_initial,
     apply_scenario_defaults,
     check_madelung,
+    check_transport,
 )
 from kvhsim.grid import (
     FD4,
     PERIODIC,
     EvolutionAborted,
+    GridMismatchError,
     PhaseGrid,
     ScalarField,
     integrate,
     l1_norm,
-    l2_norm,
-    spectral_refine,
 )
 from kvhsim.hamiltonian import HamiltonianSpec, coefficient_fields, scenario_hamiltonian
-from kvhsim.kvh import WaveFunction, evolve, gaussian_wavepacket, kvh_energy
+from kvhsim.kvh import gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import (
     PolarPair,
     _lie_coefficients,
@@ -111,6 +111,21 @@ class TestPolarEvolution:
         with pytest.raises(EvolutionAborted, match="non-finite state"):
             evolve_polar(pair, H, 200.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "d_grid",
+        [
+            PhaseGrid(-8, 8, -8, 8, 48, 40, PERIODIC),
+            PhaseGrid(-8, 8, -8, 7, 48, 48, PERIODIC),
+            PhaseGrid(-7.5, 8.5, -8, 8, 48, 48, FD4),
+        ],
+        ids=["n_p", "p_max", "shifted"],
+    )
+    def test_fields_on_different_nodes_rejected(self, d_grid):
+        g, pair = polar_pair()
+        D = ScalarField(d_grid, np.zeros((d_grid.n_q, d_grid.n_p)))
+        with pytest.raises(GridMismatchError, match="different nodes"):
+            evolve_polar(PolarPair(pair.S, D), scenario_hamiltonian("harmonic"), 0.01, 1e-3)
+
     def test_second_partials_required(self):
         # the one-form transport residual differentiates X_H, so a
         # Hamiltonian without its second partials cannot be built
@@ -123,22 +138,23 @@ class TestPolarEvolution:
             )
 
 
-def test_coarse_wavefunction_reference_is_resolved():
-    # the madelung check solves its wavefunction reference on every third
-    # node of its 192² polar grid and refines it spectrally to all of them
+def test_harmonic_reference_stays_on_the_64_grid(monkeypatch):
+    # at harmonic-kvh defaults the 64² reference's edge modes stay below the
+    # fallback's 1e-9, so the check runs the polar pair and the reference on
+    # those 64² nodes alone
+    edges = []
+
+    def edge_content(values):
+        edges.append((values.shape, _edge_content(values)))
+        return edges[-1][1]
+
+    monkeypatch.setattr(cli, "_edge_content", edge_content)
     cfg = apply_scenario_defaults(RunConfig(scenario="harmonic-kvh"))
-    ctx = RunContext(cfg)
-    g, pair0 = _polar_initial(ctx, 192)
-    psi0 = np.sqrt(pair0.D.values) * np.exp(1j * pair0.S.values / cfg.hbar)
-    finals = []
-    for stride in (3, 1):
-        n = 192 // stride
-        gs = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, n, n)
-        psi = WaveFunction(ScalarField(gs, psi0[::stride, ::stride]), cfg.hbar)
-        finals.append(evolve(ctx.H, psi, 0.25, 2.5e-3, record_energy=False).final().field.values)
-    coarse, fine = finals
-    assert _edge_content(coarse) <= 1e-9  # so the check keeps the coarse reference
-    assert l2_norm(ScalarField(g, spectral_refine(coarse, 3) - fine)) <= 1e-9
+    (result,) = check_madelung(RunContext(cfg))
+    assert len(edges) == 1
+    shape, edge = edges[0]
+    assert shape == (64, 64) and edge <= 1e-9
+    assert result.value <= 1e-7
 
 
 def test_small_hbar_solves_the_reference_on_the_polar_grid():
@@ -147,6 +163,21 @@ def test_small_hbar_solves_the_reference_on_the_polar_grid():
     cfg = apply_scenario_defaults(RunConfig(scenario="harmonic-kvh", dt=2.5e-3, hbar=0.25))
     (result,) = check_madelung(RunContext(cfg))
     assert result.value < result.tol
+
+
+def test_transport_solves_on_the_run_grid(monkeypatch):
+    # the transport check solves on the run's n_q x n_p nodes, not n_q x n_q
+    shapes = []
+    evolve_polar = madelung.evolve_polar
+
+    def spy(pair, *args, **kwargs):
+        shapes.append((pair.S.values.shape, pair.D.values.shape))
+        return evolve_polar(pair, *args, **kwargs)
+
+    monkeypatch.setattr(madelung, "evolve_polar", spy)
+    (result,) = check_transport(RunContext(RunConfig(n_q=64, n_p=48)))
+    assert shapes == [((64, 48), (64, 48))]
+    assert result.passed
 
 
 def cartan_defect(name, n, bc):

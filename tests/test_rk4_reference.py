@@ -8,6 +8,7 @@ close.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,19 +80,25 @@ def test_evolve_spectral(grid, H, psi):
     assert np.array_equal(out, ref)
 
 
-def test_evolve_polar(grid, H, psi):
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-grid", "D-other-bc"])
+def test_evolve_polar(grid, H, psi, mixed):
+    # S and D do not couple, so each is differentiated on its own grid. The
+    # mixed case puts D on the same nodes with the other bc; S on FD4 with D
+    # periodic is the madelung check's split
+    g_D = replace(grid, bc=PERIODIC if grid.bc == FD4 else FD4) if mixed else grid
     a, b, lh = coefficient_fields(H, grid)
     S = 0.3 * grid.Q - 0.2 * grid.P + 0.05 * grid.Q**2
     D = np.abs(psi.field.values) ** 2
 
     def rhs(S, D):
         bracket_S = grid.ddq(S) * b - grid.ddp(S) * a
-        bracket_D = grid.ddq(D) * b - grid.ddp(D) * a
+        bracket_D = g_D.ddq(D) * b - g_D.ddp(D) * a
         return lh - bracket_S, -bracket_D
 
     ref = reference_rk4(rhs, (S, D), T_FINAL, DT)
-    pair = PolarPair(ScalarField(grid, S), ScalarField(grid, D))
+    pair = PolarPair(ScalarField(grid, S), ScalarField(g_D, D))
     _, snaps = evolve_polar(pair, H, T_FINAL, DT, stride=3)
+    assert snaps[-1].S.grid is grid and snaps[-1].D.grid is g_D
     assert np.array_equal(snaps[-1].S.values, ref[0])
     assert np.array_equal(snaps[-1].D.values, ref[1])
 

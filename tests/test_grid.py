@@ -185,6 +185,86 @@ class TestDerivatives:
             poisson_bracket(ScalarField(g, np.zeros((8, 8))), ScalarField(g, bad))
 
 
+class TestSpectralDerivative:
+    """Periodic derivatives of real and complex fields, even and odd axes."""
+
+    SHAPES = [(16, 12), (15, 9), (16, 9)]
+    AXES = [0, 1]
+
+    @staticmethod
+    def trig_polynomial(g, dtype, axis):
+        """Random modes below the Nyquist frequency of the grid's shape, and
+        their exact derivative along `axis`."""
+        rng = np.random.default_rng(4)
+        shape = (g.n_q, g.n_p)
+        top = np.array([(n - 1) // 2 for n in shape])
+        x = 2 * np.pi * (g.Q - g.q_min) / (g.q_max - g.q_min)
+        y = 2 * np.pi * (g.P - g.p_min) / (g.p_max - g.p_min)
+        scale = 2 * np.pi / ((g.q_max - g.q_min), (g.p_max - g.p_min))[axis]
+        values, exact = np.zeros(shape, complex), np.zeros(shape, complex)
+        for _ in range(6):
+            k, l = rng.integers(-top, top + 1)
+            mode = (rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(1j * (k * x + l * y))
+            values += mode
+            exact += 1j * (k, l)[axis] * scale * mode
+        if dtype is float:
+            return values.real, exact.real
+        return values, exact
+
+    @staticmethod
+    def deriv(g, axis):
+        return (g.ddq, g.ddp)[axis]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("axis", AXES)
+    def test_reproduces_a_trigonometric_polynomial(self, shape, dtype, axis):
+        g = PhaseGrid(-2, 2, -3, 3, *shape)
+        values, exact = self.trig_polynomial(g, dtype, axis)
+        got = self.deriv(g, axis)(values)
+        assert got.dtype == values.dtype
+        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_complex_field_is_its_real_and_imaginary_parts(self, shape):
+        # the complex path and the real path agree on each part
+        g = PhaseGrid(-2, 2, -3, 3, *shape)
+        rng = np.random.default_rng(7)
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        for deriv in (g.ddq, g.ddp):
+            whole = deriv(re + 1j * im)
+            assert np.max(np.abs(whole - (deriv(re) + 1j * deriv(im)))) <= 1e-13 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("axis", AXES)
+    def test_nyquist_mode_of_an_even_axis_has_no_derivative(self, dtype, axis):
+        g = PhaseGrid(-2, 2, -3, 3, 16, 12)
+        j = np.indices((g.n_q, g.n_p))[axis]
+        values = (-1.0) ** j * (1 + 1j if dtype is complex else 1)
+        assert np.max(np.abs(self.deriv(g, axis)(values))) <= 1e-13
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_constant_field_has_no_derivative(self, dtype):
+        g = PhaseGrid(-2, 2, -3, 3, 15, 12)
+        values = np.full((g.n_q, g.n_p), 2.5, dtype)
+        for deriv in (g.ddq, g.ddp):
+            assert np.max(np.abs(deriv(values))) <= 1e-13
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_real_results_do_not_share_the_cached_scratch(self, axis):
+        # a real field is differentiated in a cached complex array; neither
+        # the field nor an earlier result may be overwritten by a later call
+        g = PhaseGrid(-2, 2, -3, 3, 16, 12)
+        first_field, second_field = np.sin(g.Q) * np.cos(g.P), np.cos(2 * g.Q + g.P)
+        kept = first_field.copy()
+        deriv = self.deriv(g, axis)
+        first = deriv(first_field)
+        expected = first.copy()
+        deriv(second_field)
+        assert np.array_equal(first, expected)
+        assert np.array_equal(first_field, kept)
+
+
 class TestInterpolation:
     """The periodic cubic spline agrees with scipy's, the reference it replaced."""
 

@@ -5,11 +5,18 @@ paired with the phase accumulated from -L_G along the trajectories. Such
 pairs preserve the connection one-form, and their unitary action reduces
 to composition with the inverse flow times a phase (the flow has unit
 Jacobian, so no density factor appears). The lift is unique only up to a
-constant phase, taken to be zero: no check can see it, as the equivariance
-residual conjugates it away and |UΨ|² drops it. Nodes whose characteristic
-leaves the box are zeroed, which is valid for wavefunctions supported away
-from the outflow region. The equivariance residual compares the conjugated
-prequantum operator with that of a closed-form composition H∘η.
+constant phase, taken to be zero: no check can see it, as it multiplies
+both terms of the equivariance residual alike and |UΨ|² drops it. Nodes
+whose characteristic leaves the box are zeroed, which is valid for
+wavefunctions supported away from the outflow region.
+
+The equivariance residual checks U† L̂_H U = L̂_{H∘η}, for a closed-form
+composition H∘η, on the lift alone: ‖L̂_H(UΨ) - U(L̂_{H∘η}Ψ)‖ / ‖Ψ‖. The
+numerator is ‖U(U† L̂_H U Ψ - L̂_{H∘η}Ψ)‖, and a unitary U preserves the norm,
+so the two forms agree; this one needs only the lift's own backward flow.
+Off the horizons where the flow permutes the nodes, the discrete U is
+unitary only up to the spline's interpolation floor, which then bounds both
+forms (test_composition_at_other_angles).
 """
 
 from __future__ import annotations
@@ -55,10 +62,6 @@ class ContactTransform:
         """Forward flow map."""
         return flow_map(self.generator, self.time, (q, p), self.flow_dt)
 
-    def inverse(self) -> "ContactTransform":
-        """The lift of the time -t flow."""
-        return ContactTransform(self.generator, -self.time, self.grid, self.flow_dt)
-
     def connection_residual(self) -> float:
         """L2 residual of the membership condition eta*A + dphi = A."""
         g = self.grid
@@ -99,8 +102,13 @@ def equivariance_residual(
     composed: HamiltonianSpec,
 ) -> float:
     """Relative residual of U† L̂_H U = L̂_{H∘η} on psi, for `composed` the
-    closed form of H∘η."""
-    lhs = apply_van_hove(T.inverse(), apply_prequantum(H, apply_van_hove(T, psi)))
-    rhs = apply_prequantum(composed, psi)
+    closed form of H∘η, taken as ‖L̂_H(U psi) - U(L̂_{H∘η} psi)‖ / ‖psi‖.
+
+    For a unitary U this is the norm of U†L̂_H U psi - L̂_{H∘η} psi, and both
+    applications of U share T.backward, so no inverse flow is made. Off
+    node-permuting horizons the spline floor bounds either form.
+    """
+    lhs = apply_prequantum(H, apply_van_hove(T, psi))
+    rhs = apply_van_hove(T, apply_prequantum(composed, psi))
     diff = ScalarField(psi.grid, lhs.field.values - rhs.field.values)
     return l2_norm(diff) / psi.norm()

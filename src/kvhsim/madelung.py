@@ -46,10 +46,11 @@ class HydroState:
 
 @dataclass
 class PolarPair:
-    """Smooth phase S (units of action) and density D."""
+    """Smooth phase S (units of action) and density D; D is None where only
+    S is evolved."""
 
     S: ScalarField
-    D: ScalarField
+    D: ScalarField | None
 
 
 def hydro_from_wavefunction(psi: WaveFunction) -> HydroState:
@@ -104,26 +105,33 @@ def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float,
 
     The two fields do not couple, so each is differentiated on its own grid:
     S on pair.S.grid, D on pair.D.grid. Those must share their nodes (n_q,
-    n_p and bounds), else GridMismatchError; their bc may differ.
+    n_p and bounds), else GridMismatchError; their bc may differ. A pair
+    whose D is None evolves S alone, bit for bit as beside a D, and its
+    snapshots carry D = None.
     """
-    gS, gD = pair.S.grid, pair.D.grid
-    nodes = [(g.n_q, g.n_p, g.q_min, g.q_max, g.p_min, g.p_max) for g in (gS, gD)]
-    if nodes[0] != nodes[1]:
-        raise GridMismatchError(f"S and D lie on different nodes: {nodes[0]} and {nodes[1]}")
+    gS = pair.S.grid
+    state = (pair.S.values.astype(float),)
+    if pair.D is not None:
+        gD = pair.D.grid
+        nodes = [(g.n_q, g.n_p, g.q_min, g.q_max, g.p_min, g.p_max) for g in (gS, gD)]
+        if nodes[0] != nodes[1]:
+            raise GridMismatchError(f"S and D lie on different nodes: {nodes[0]} and {nodes[1]}")
+        state += (pair.D.values.astype(float),)
     a, b, lh = coefficient_fields(H, gS)
     work = np.empty((gS.n_q, gS.n_p))
 
-    def rhs(S, D, out):
-        dS, dD = out
+    def rhs(S, *D, out):
+        dS = out[0]
         gS.bracket(a, b, S, out=dS, work=work)
         np.add(lh, dS, out=dS)
-        gD.bracket(a, b, D, out=dD, work=work)
+        if D:
+            gD.bracket(a, b, D[0], out=out[1], work=work)
 
-    state = (pair.S.values.astype(float), pair.D.values.astype(float))
     times, snaps = [], []
-    for t, (S, D) in chain([(0.0, state)], rk4_steps(rhs, state, t_final, dt, stride)):
+    for t, (S, *D) in chain([(0.0, state)], rk4_steps(rhs, state, t_final, dt, stride)):
         times.append(t)
-        snaps.append(PolarPair(ScalarField(gS, S.copy()), ScalarField(gD, D.copy())))
+        D_t = ScalarField(gD, D[0].copy()) if D else None
+        snaps.append(PolarPair(ScalarField(gS, S.copy()), D_t))
     return times, snaps
 
 

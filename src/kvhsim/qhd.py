@@ -45,10 +45,12 @@ class LineGrid:
         return 2 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     def ddx(self, values: np.ndarray) -> np.ndarray:
-        return _spectral_1d(values, self._ik, 0)
+        """d/dx along the last axis: of one sample, or of each row of a stack."""
+        return _spectral_1d(values, self._ik, -1)
 
     def integrate(self, values: np.ndarray):
-        return values.sum() * self.dx
+        """Integral along the last axis: of one sample, or of each row of a stack."""
+        return values.sum(axis=-1) * self.dx
 
 
 @dataclass
@@ -119,7 +121,11 @@ def schrodinger_evolve(psi0: QWaveFunction, V: np.ndarray, t_final: float, dt: f
 
 
 def quantum_madelung_momap(psi: QWaveFunction):
-    """(momentum density, density) = (ħ Im(conj(psi) psi'), |psi|²)."""
+    """(momentum density, density) = (ħ Im(conj(psi) psi'), |psi|²).
+
+    psi.values may stack several samples, one per row; each row is mapped
+    as if alone.
+    """
     mu = psi.hbar * np.imag(np.conj(psi.values) * psi.grid.ddx(psi.values))
     D = np.abs(psi.values) ** 2
     return mu, D
@@ -133,19 +139,23 @@ def quantum_energy(psi: QWaveFunction, V: np.ndarray) -> float:
     return float(np.real(g.integrate(kinetic + potential)))
 
 
+def _series(times, snapshots):
+    """The snapshots stacked one per row: the centered time steps of the
+    interior rows, as a column, and the momentum map (mu, D) of every row,
+    each computed once."""
+    t = np.asarray(times, dtype=float)
+    first = snapshots[0]
+    stack = QWaveFunction(first.grid, np.array([s.values for s in snapshots]), first.hbar)
+    return (t[2:] - t[:-2])[:, None], *quantum_madelung_momap(stack)
+
+
 def continuity_residual(times, snapshots):
-    """L2 residual time-series of dD/dt + mu' at interior snapshots."""
+    """L2 residual time-series of dD/dt + mu' at interior snapshots, all
+    evaluated in one pass over the stacked series."""
     g = snapshots[0].grid
-    out = []
-    for k in range(1, len(snapshots) - 1):
-        dt_c = times[k + 1] - times[k - 1]
-        D_prev = np.abs(snapshots[k - 1].values) ** 2
-        D_next = np.abs(snapshots[k + 1].values) ** 2
-        dD = (D_next - D_prev) / dt_c
-        mu, _ = quantum_madelung_momap(snapshots[k])
-        res = dD + g.ddx(mu)
-        out.append(float(np.sqrt(np.real(g.integrate(res**2)))))
-    return out
+    dt_c, mu, D = _series(times, snapshots)
+    res = (D[2:] - D[:-2]) / dt_c + g.ddx(mu[1:-1])
+    return np.sqrt(g.integrate(res**2)).tolist()
 
 
 def bohm_potential_residual(times, snapshots, V: np.ndarray):
@@ -155,39 +165,31 @@ def bohm_potential_residual(times, snapshots, V: np.ndarray):
     its neighbors are excluded. Spatial derivatives are only ever taken
     of the globally smooth fields mu, D and V, then combined pointwise;
     differentiating masked ratios (v, Q) directly would spray Gibbs
-    oscillations from the density tails across the whole line.
+    oscillations from the density tails across the whole line. All
+    interior snapshots are evaluated in one pass over the stacked series.
     """
     g = snapshots[0].grid
     hbar = snapshots[0].hbar
     # local stencils for the potential: V need not be periodic, and the
     # spectral derivative of a non-periodic sample is polluted everywhere
     Vx = np.gradient(np.asarray(V, dtype=float), g.dx, edge_order=2)
-
-    def vel(psi):
-        mu, D = quantum_madelung_momap(psi)
-        safe = np.where(D > MASK_EPS, D, 1.0)
-        return np.where(D > MASK_EPS, mu / safe, 0.0), D
-
-    out = []
-    for k in range(1, len(snapshots) - 1):
-        dt_c = times[k + 1] - times[k - 1]
-        v_prev, D_prev = vel(snapshots[k - 1])
-        v_next, D_next = vel(snapshots[k + 1])
-        mu, D = quantum_madelung_momap(snapshots[k])
-        mask = (D > MASK_EPS) & (D_prev > MASK_EPS) & (D_next > MASK_EPS)
-        if not mask.any():
-            raise ValueError("entire domain masked; density too small everywhere")
-        Ds = np.where(mask, D, 1.0)
-        v = np.where(mask, mu / Ds, 0.0)
-        dv = (v_next - v_prev) / dt_c
-        # v' = (mu' D - mu D') / D^2, pointwise
-        D1 = g.ddx(D)
-        vx = (g.ddx(mu) * D - mu * D1) / Ds**2
-        # Q' from the log form Q = -(hbar^2/4)(D''/D - D'^2/(2 D^2))
-        D2 = g.ddx(D1)
-        D3 = g.ddx(D2)
-        Qx = -(hbar**2 / 4) * (D3 / Ds - 2 * D1 * D2 / Ds**2 + D1**3 / Ds**3)
-        res = np.where(mask, dv + v * vx + (Vx + Qx), 0.0)
-        out.append(float(np.sqrt(np.real(g.integrate(res**2)))))
-    return out
-
+    dt_c, mu_all, D_all = _series(times, snapshots)
+    # each snapshot's own velocity, masked by its own density alone
+    supported = D_all > MASK_EPS
+    v_all = np.where(supported, mu_all / np.where(supported, D_all, 1.0), 0.0)
+    mu, D = mu_all[1:-1], D_all[1:-1]
+    mask = supported[1:-1] & supported[:-2] & supported[2:]
+    if not mask.any(axis=-1).all():
+        raise ValueError("entire domain masked; density too small everywhere")
+    Ds = np.where(mask, D, 1.0)
+    v = np.where(mask, mu / Ds, 0.0)
+    dv = (v_all[2:] - v_all[:-2]) / dt_c
+    # v' = (mu' D - mu D') / D^2, pointwise
+    D1 = g.ddx(D)
+    vx = (g.ddx(mu) * D - mu * D1) / Ds**2
+    # Q' from the log form Q = -(hbar^2/4)(D''/D - D'^2/(2 D^2))
+    D2 = g.ddx(D1)
+    D3 = g.ddx(D2)
+    Qx = -(hbar**2 / 4) * (D3 / Ds - 2 * D1 * D2 / Ds**2 + D1**3 / Ds**3)
+    res = np.where(mask, dv + v * vx + (Vx + Qx), 0.0)
+    return np.sqrt(g.integrate(res**2)).tolist()

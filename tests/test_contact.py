@@ -54,17 +54,20 @@ class TestLift:
 
     def test_inverse_composes_to_identity(self, quarter_turn, grid):
         q, p = quarter_turn.eta(grid.Q, grid.P)
-        q0, p0 = quarter_turn.inverse().eta(q, p)
+        inverse = ContactTransform(quarter_turn.generator, -quarter_turn.time, grid)
+        q0, p0 = inverse.eta(q, p)
         assert np.max(np.abs(q0 - grid.Q)) < 1e-8
         assert np.max(np.abs(p0 - grid.P)) < 1e-8
 
     def test_domain_exit_policy(self):
         g = PhaseGrid(-1, 1, -1, 1, 16, 16)
         T = ContactTransform(scenario_hamiltonian("free"), 3.0, g)
-        assert T.backward.exited.any() and T.inverse().backward.exited.any()
+        inverse = ContactTransform(T.generator, -T.time, g)
+        assert T.backward.exited.any() and inverse.backward.exited.any()
 
     def test_lift_and_equivariance_share_their_flows(self, monkeypatch):
-        # one residual flows the lift's backward characteristics and its inverse's
+        # one residual flows the lift's backward characteristics once, and
+        # applies the lift to both of its terms
         flows = []
 
         def counted(G, t, q0, p0, dt=1e-3):
@@ -78,7 +81,7 @@ class TestLift:
         monkeypatch.setattr(hamiltonian, "flow_with_action", counted)
         T = ContactTransform(scenario_hamiltonian("harmonic"), np.pi / 2, g)
         equivariance_residual(T, H, psi, composed=H_rot)
-        assert flows == [-np.pi / 2, np.pi / 2]
+        assert flows == [-np.pi / 2]
 
 
 class TestVanHoveAction:
@@ -88,7 +91,8 @@ class TestVanHoveAction:
 
     def test_inverse_action_roundtrip(self, quarter_turn, psi, grid):
         upsi = apply_van_hove(quarter_turn, psi)
-        back = apply_van_hove(quarter_turn.inverse(), upsi)
+        inverse = ContactTransform(quarter_turn.generator, -quarter_turn.time, grid)
+        back = apply_van_hove(inverse, upsi)
         err = l2_norm(ScalarField(grid, back.field.values - psi.field.values))
         assert err < 1e-4
 
@@ -114,6 +118,11 @@ class TestEquivariance:
         H_rot = polynomial_hamiltonian("half_p2", {(0, 2): 0.5})
         r = equivariance_residual(quarter_turn, H, psi, composed=H_rot)
         assert r < 1e-5
+
+    def test_unrotated_composition_is_rejected(self, quarter_turn, psi):
+        # negative control: q^2/2 itself is not q^2/2 composed with the turn
+        H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
+        assert equivariance_residual(quarter_turn, H, psi, composed=H) > 1e-2
 
     @pytest.mark.parametrize("t", [0.4, np.pi / 4, 3 * np.pi / 4], ids=["0.4", "pi/4", "3pi/4"])
     def test_composition_at_other_angles(self, grid, psi, t):

@@ -166,18 +166,32 @@ def test_small_hbar_solves_the_reference_on_the_polar_grid():
 
 
 def test_transport_solves_on_the_run_grid(monkeypatch):
-    # the transport check solves on the run's n_q x n_p nodes, not n_q x n_q
-    shapes = []
+    # the transport check solves S alone, on the run's n_q x n_p nodes
+    pairs = []
     evolve_polar = madelung.evolve_polar
 
     def spy(pair, *args, **kwargs):
-        shapes.append((pair.S.values.shape, pair.D.values.shape))
+        pairs.append(pair)
         return evolve_polar(pair, *args, **kwargs)
 
     monkeypatch.setattr(madelung, "evolve_polar", spy)
     (result,) = check_transport(RunContext(RunConfig(n_q=64, n_p=48)))
-    assert shapes == [((64, 48), (64, 48))]
+    assert [(p.S.values.shape, p.D) for p in pairs] == [((64, 48), None)]
     assert result.passed
+
+
+def test_phase_alone_evolves_as_beside_the_density():
+    # at the transport check's settings, S evolved without D gives the same
+    # snapshots and residuals, bit for bit, as S evolved beside D
+    ctx = RunContext(RunConfig())
+    pair = cli._polar_initial(ctx, 64, 64)
+    H = ctx.H
+    times, snaps = evolve_polar(pair, H, 0.05, 2.5e-4, stride=1)
+    times_s, snaps_s = evolve_polar(PolarPair(pair.S, None), H, 0.05, 2.5e-4, stride=1)
+    assert times_s == times
+    assert all(s.D is None for s in snaps_s)
+    assert all(np.array_equal(a.S.values, b.S.values) for a, b in zip(snaps_s, snaps, strict=True))
+    assert one_form_transport_residual(snaps_s, times_s, H) == one_form_transport_residual(snaps, times, H)
 
 
 def cartan_defect(name, n, bc):

@@ -86,6 +86,23 @@ class TestHydrodynamicResiduals:
         times, snaps = schrodinger_evolve(psi0, harmonic, 0.2, 1e-3)
         assert max(bohm_potential_residual(times, snaps, harmonic)) < 1e-4
 
+    @pytest.mark.parametrize(
+        "n, x0, p0, hbar",
+        [(256, 1.0, 0.0, 1.0), (200, -2.0, 1.5, 0.5)],
+        ids=["check-line", "moving-narrow"],
+    )
+    def test_batched_series_equal_the_per_snapshot_loops(self, n, x0, p0, hbar):
+        g = LineGrid(-10.0, 10.0, n)
+        V = 0.5 * g.x**2
+        psi0 = coherent_state(g, x0=x0, p0=p0, hbar=hbar)
+        times, snaps = schrodinger_evolve(psi0, V, 0.2, 1e-3)
+        # the density tails fall below MASK_EPS, so the Bohm mask cuts in
+        D = np.abs(snaps[0].values) ** 2
+        assert (D <= MASK_EPS).any() and (D > MASK_EPS).any()
+        cont, bohm = per_snapshot_residuals(times, snaps, V)
+        assert np.array_equal(continuity_residual(times, snaps), cont)
+        assert np.array_equal(bohm_potential_residual(times, snaps, V), bohm)
+
     def test_all_masked_rejected(self, grid, harmonic):
         # a peak density near 0.56e-8, below MASK_EPS at every node
         psi0 = coherent_state(grid, x0=1.0, p0=0.0)
@@ -95,3 +112,37 @@ class TestHydrodynamicResiduals:
         with pytest.raises(ValueError, match="entire domain masked"):
             bohm_potential_residual(times, snaps, harmonic)
 
+
+
+def per_snapshot_residuals(times, snapshots, V):
+    """The continuity and Bohm residual series, one snapshot at a time: the
+    reference the batched residuals must equal bit for bit."""
+    g = snapshots[0].grid
+    hbar = snapshots[0].hbar
+    Vx = np.gradient(np.asarray(V, dtype=float), g.dx, edge_order=2)
+
+    def vel(psi):
+        mu, D = quantum_madelung_momap(psi)
+        safe = np.where(D > MASK_EPS, D, 1.0)
+        return np.where(D > MASK_EPS, mu / safe, 0.0), D
+
+    cont, bohm = [], []
+    for k in range(1, len(snapshots) - 1):
+        dt_c = times[k + 1] - times[k - 1]
+        v_prev, D_prev = vel(snapshots[k - 1])
+        v_next, D_next = vel(snapshots[k + 1])
+        mu, D = quantum_madelung_momap(snapshots[k])
+        res = (D_next - D_prev) / dt_c + g.ddx(mu)
+        cont.append(float(np.sqrt(np.real(g.integrate(res**2)))))
+        mask = (D > MASK_EPS) & (D_prev > MASK_EPS) & (D_next > MASK_EPS)
+        Ds = np.where(mask, D, 1.0)
+        v = np.where(mask, mu / Ds, 0.0)
+        dv = (v_next - v_prev) / dt_c
+        D1 = g.ddx(D)
+        vx = (g.ddx(mu) * D - mu * D1) / Ds**2
+        D2 = g.ddx(D1)
+        D3 = g.ddx(D2)
+        Qx = -(hbar**2 / 4) * (D3 / Ds - 2 * D1 * D2 / Ds**2 + D1**3 / Ds**3)
+        res = np.where(mask, dv + v * vx + (Vx + Qx), 0.0)
+        bohm.append(float(np.sqrt(np.real(g.integrate(res**2)))))
+    return cont, bohm

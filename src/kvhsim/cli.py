@@ -21,7 +21,7 @@ import numpy as np
 
 from . import contact, kvh, liouville, madelung, qhd, vonneumann
 from .fieldio import load_field, save_field, write_csv_log
-from .grid import FD4, PERIODIC, PhaseGrid, ScalarField, l1_norm, l2_norm, time_steps
+from .grid import FD4, PERIODIC, GridError, PhaseGrid, ScalarField, l1_norm, l2_norm, time_steps
 from .hamiltonian import HamiltonianSpec, flow_map, polynomial_hamiltonian, scenario_hamiltonian
 
 OUTPUT_ROOT_ENV = "KVHSIM_OUTPUT_ROOT"
@@ -531,8 +531,9 @@ def run_command(args) -> int:
     try:
         for name in checks:
             results.extend(CHECKS[name](ctx))
-    except (vonneumann.KernelError, kvh.EvolutionAborted, qhd.UnresolvedStateError) as exc:
-        # an ill-conditioned kernel basis, an unstable dt or an unresolved hbar
+    except (GridError, vonneumann.KernelError, kvh.EvolutionAborted, qhd.UnresolvedStateError) as exc:
+        # a check grid too small for its stencils, an ill-conditioned kernel
+        # basis, an unstable dt or an unresolved hbar
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ from either mode are directly comparable).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -149,6 +150,10 @@ class PhaseGrid:
             raise GridError("degenerate domain bounds")
         if self.bc not in (PERIODIC, FD4):
             raise GridError(f"unknown boundary mode {self.bc!r}")
+        if self.bc == FD4 and min(self.n_q, self.n_p) < 5:
+            raise GridError(
+                f"fd4 stencils span 5 nodes; the grid has {self.n_q}x{self.n_p}"
+            )
 
     @property
     def dq(self) -> float:
@@ -316,12 +321,15 @@ def spline_taps(coords, shape) -> tuple:
     """W: the cubic B-spline taps at fractional node indices `coords` (one row
     per axis of `shape`, wrapped periodically into it).
 
-    Returns (index, weight), each of shape (4**d, points): the flat node
-    index and the weight of every tap, 4 wrapped nodes per axis.
+    Returns one (index, weight) pair per axis, each of shape (4, points): the
+    4 wrapped nodes of every point along that axis, times the axis's stride
+    in the flattened `shape`, and their weights. A point's 4**d taps are the
+    sums of those indices and the products of those weights over the axes,
+    which `apply_taps` forms one tap at a time.
     """
-    index = np.zeros((1, 1), dtype=np.intp)
-    weight = np.ones((1, 1))
-    for x, n in zip(coords, shape):
+    taps = []
+    stride = 1
+    for x, n in reversed(list(zip(coords, shape))):
         x = np.reshape(x, (1, -1))
         i = np.floor(x)
         f = x - i
@@ -329,24 +337,37 @@ def spline_taps(coords, shape) -> tuple:
         w = np.concatenate([g**3, 4 - 3 * f * f * (1 + g), 4 - 3 * g * g * (1 + f), f**3]) / 6
         i = i.astype(np.intp)
         nodes = np.concatenate([(i + k) % n for k in (-1, 0, 1, 2)])
-        index = (index[:, None] * n + nodes[None]).reshape(-1, x.size)
-        weight = (weight[:, None] * w[None]).reshape(-1, x.size)
-    return index, weight
+        nodes *= stride
+        taps.append((nodes, w))
+        stride *= n
+    return tuple(reversed(taps))
 
 
 def apply_taps(taps: tuple, values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Σ_t weight_t · values[index_t] along `axis`: W applied to that axis of
-    `values`, one tap at a time, with no gather of all taps at once."""
-    index, weight = taps
+    `values`, one tap at a time, with no gather of all taps at once. Each
+    tap's flat index and weight are formed from the per-axis taps of
+    `spline_taps`, the first axis major."""
     shape = [-1 if i == axis else 1 for i in range(values.ndim)]
-    out = np.take(values, index[0], axis=axis)
-    out *= weight[0].reshape(shape)
-    term = np.empty_like(out)
-    for idx, w in zip(index[1:], weight[1:]):
-        # indices are in range; mode "clip" lets `take` write `term` unbuffered
-        np.take(values, idx, axis=axis, out=term, mode="clip")
-        term *= w.reshape(shape)
-        out += term
+    index = np.empty_like(taps[0][0][0])
+    weight = np.empty_like(taps[0][1][0])
+    out = term = None
+    for tap in itertools.product(*(zip(*axis_taps) for axis_taps in taps)):
+        (first_index, first_weight), *rest = tap
+        np.copyto(index, first_index)
+        np.copyto(weight, first_weight)
+        for axis_index, axis_weight in rest:
+            index += axis_index
+            weight *= axis_weight
+        if out is None:
+            out = np.take(values, index, axis=axis)
+            out *= weight.reshape(shape)
+            term = np.empty_like(out)
+        else:
+            # indices are in range; mode "clip" lets `take` write `term` unbuffered
+            np.take(values, index, axis=axis, out=term, mode="clip")
+            term *= weight.reshape(shape)
+            out += term
     return out
 
 

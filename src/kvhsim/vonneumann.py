@@ -98,6 +98,8 @@ def _local_stencil_matrix(n: int, npts: int, shift: float, order: int) -> np.nda
     Each window is centred on i + shift where it fits and one-sided at the
     edges. npts = 5 reproduces the grid's fd4 stencils exactly.
     """
+    if n < npts:
+        raise KernelError(f"{npts}-point stencils do not fit on {n} nodes per axis")
     M = np.zeros((n, n))
     start = math.ceil(shift - (npts - 1) / 2)
     for i in range(n):
@@ -147,7 +149,21 @@ def prequantum_matrix(H: HamiltonianSpec, grid: PhaseGrid, hbar: float = 1.0) ->
     """
     Dq, Dp = derivative_matrices(grid)
     a, b, lh = (_flatten(c) for c in coefficient_fields(H, grid))
-    return 1j * hbar * (a[:, None] * Dp - b[:, None] * Dq) - np.diag(lh)
+    # the bytes of 1j*hbar*(a[:, None]*Dp - b[:, None]*Dq) - np.diag(lh),
+    # formed in the two kron matrices and one complex matrix: the complex
+    # product of 1j*hbar and m has real part 0*m - hbar*0 and imaginary part
+    # 0*0 + hbar*m, signed zeros included, and diag(lh) meets the diagonal only
+    Dp *= a[:, None]
+    Dq *= b[:, None]
+    Dp -= Dq
+    del Dq
+    L = np.empty(Dp.shape, complex)
+    np.multiply(Dp, 0.0, out=L.real)
+    L.real -= hbar * 0.0
+    np.multiply(Dp, hbar, out=L.imag)
+    L.imag += 0.0
+    L.reshape(-1)[:: len(lh) + 1] -= lh
+    return L
 
 
 class KernelPropagator(NamedTuple):
@@ -194,9 +210,10 @@ def kernel_propagator(ch: Characteristics, hbar: float) -> KernelPropagator:
     phase = ch.phase(hbar).reshape(-1)
     if ch.t == 0:
         return KernelPropagator(grid, phase, None)
-    index, weight = spline_taps(grid.node_coords(ch.q0, ch.p0), (grid.n_q, grid.n_p))
-    weight[:, ch.exited.reshape(-1)] = 0.0
-    return KernelPropagator(grid, phase, (index, weight))
+    taps = spline_taps(grid.node_coords(ch.q0, ch.p0), (grid.n_q, grid.n_p))
+    # zero q weights zero every product of q and p weights
+    taps[0][1][:, ch.exited.reshape(-1)] = 0.0
+    return KernelPropagator(grid, phase, taps)
 
 
 # closed-form kernel evolution in a general (non-unitary) eigenbasis is
@@ -207,6 +224,19 @@ _EIGENBASIS_ROUNDOFF_LIMIT = 1e-10
 def _rk4_stability(z: np.ndarray) -> np.ndarray:
     """RK4 stability polynomial: one step of y' = lam y multiplies y by p(lam dt)."""
     return 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+
+
+# elements per band of rows in _apply_rk4_gain: its temporaries stay far
+# below one N x N array
+_GAIN_BAND = 1 << 14
+
+
+def _apply_rk4_gain(M: np.ndarray, lam: np.ndarray, dt: float, n_steps: int) -> None:
+    """M[i, j] *= p(dt (lam_i - lam_j))^n_steps in place, a band of rows at a time."""
+    rows = max(1, _GAIN_BAND // len(lam))
+    for i in range(0, len(lam), rows):
+        band = slice(i, i + rows)
+        M[band] *= _rk4_stability(dt * (lam[band, None] - lam[None, :])) ** n_steps
 
 
 def evolve_kernel(
@@ -225,7 +255,11 @@ def evolve_kernel(
     rather than stepping: with A V = V diag(lam), one step multiplies
     entry (i, j) of V^-1 K V by p(dt (lam_i - lam_j)), where p is the RK4
     stability polynomial, so K(t) = V [p^n * (V^-1 K0 V)] V^-1. The cost
-    is one eigendecomposition and four matmuls for any step count.
+    is one eigendecomposition and four matmuls for any step count. Besides
+    K0, the peak working set is at most 5 N x N complex arrays, inside the
+    eigensolver: L, V and LAPACK's copy of L and workspace. L goes when the
+    solver returns; then V, V^-1 and two product arrays remain, and p^n is
+    applied a band of rows at a time.
 
     The eigensolver is chosen by an exact property of L. When L is exactly
     Hermitian (periodic grids with h_q a function of q and h_p of p, as
@@ -251,13 +285,18 @@ def evolve_kernel(
     n_steps, dt = time_steps(t_final, dt)
     if n_steps == 0:
         return theta0.copy()
+    # the eigensolver's buffers set the peak memory: nothing but L and K0
+    # is alive while it runs, and L is dropped as soon as it returns
     L = prequantum_matrix(H, theta0.grid, theta0.hbar)
     if np.array_equal(L, L.conj().T):
         mu, V = np.linalg.eigh(L)
+        del L
         lam = (-1j / theta0.hbar) * mu
         V_inv = V.conj().T
     else:
-        lam, V = np.linalg.eig((-1j / theta0.hbar) * L)
+        L *= -1j / theta0.hbar
+        lam, V = np.linalg.eig(L)
+        del L
         V_inv = np.linalg.inv(V)
         kappa = np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
         if kappa * np.finfo(float).eps > _EIGENBASIS_ROUNDOFF_LIMIT:
@@ -265,9 +304,13 @@ def evolve_kernel(
                 f"Liouvillian eigenvectors are ill-conditioned (kappa_1 = {kappa:.2e}) "
                 f"on this grid; use method=\"characteristics\""
             )
+    # K = V [p^n * (V^-1 K0 V)] V^-1, the products through two arrays
+    T = V_inv @ theta0.K
+    M = T @ V
     with np.errstate(over="ignore", invalid="ignore"):
-        gain = _rk4_stability(dt * (lam[:, None] - lam[None, :])) ** n_steps
-        K = V @ (gain * (V_inv @ theta0.K @ V)) @ V_inv
+        _apply_rk4_gain(M, lam, dt, n_steps)
+        np.matmul(V, M, out=T)
+        K = np.matmul(T, V_inv, out=M)
     if not np.all(np.isfinite(K)):
         raise EvolutionAborted(
             f"non-finite kernel after {n_steps} RK4 steps: "

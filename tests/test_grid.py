@@ -1,7 +1,6 @@
 """Grid construction, derivatives, quadrature, and step adjustment."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,18 +24,6 @@ from kvhsim.grid import (
     rk4_steps,
     time_steps,
 )
-
-
-def traced_peak(call) -> int:
-    """Peak bytes numpy and Python allocate beyond what is live, during call()."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 def make_grid(n=64, bc=PERIODIC, lo=-np.pi, hi=np.pi):
@@ -134,7 +121,7 @@ class TestDerivatives:
             out = np.empty_like(values)
             assert deriv(values, out=out).tobytes() == expected.tobytes()
 
-    def test_fd4_with_out_allocates_no_field(self):
+    def test_fd4_with_out_allocates_no_field(self, traced_peak):
         g = make_grid(192, bc=FD4)
         values = np.sin(g.Q) * np.cos(g.P)
         out = np.empty_like(values)
@@ -157,7 +144,7 @@ class TestDerivatives:
                 assert deriv(values, out=out) is out
                 assert np.array_equal(out, expected)
 
-    def test_real_spectral_with_out_allocates_like_a_complex_one(self):
+    def test_real_spectral_with_out_allocates_like_a_complex_one(self, traced_peak):
         # no field-sized temporary: what is left is numpy's ufunc buffer for
         # the broadcast ik, which the complex path allocates as well
         g = make_grid(192)
@@ -435,7 +422,7 @@ class TestRK4Steps:
 
         assert error(0.1) / error(0.05) >= 12
 
-    def test_state_is_stepped_in_place_without_growing_memory(self):
+    def test_state_is_stepped_in_place_without_growing_memory(self, traced_peak):
         g = make_grid(32)
 
         def rhs(values, out):
@@ -443,18 +430,15 @@ class TestRK4Steps:
 
         def peak(n_steps):
             state = (np.exp(1j * g.Q) * np.exp(-(g.P**2)),)
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
+
+            def run():
                 steps = 0
                 for _, stepped in rk4_steps(rhs, state, n_steps * 1e-3, 1e-3, stride=1):
                     assert stepped is state and stepped[0] is state[0]
                     steps += 1
                 assert steps == n_steps
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+
+            return traced_peak(run)
 
         size = g.n_q * g.n_p * np.dtype(complex).itemsize
         assert peak(200) <= peak(20) + size

@@ -313,6 +313,27 @@ class TestCommandLine:
         assert len(err.strip().splitlines()) == 1
         assert "characteristics" in err
 
+    @pytest.mark.parametrize(
+        "scenario, check, bc, n, message",
+        [("free-kvh", "unitarity", "fd4", 4, "fd4 stencils span 5 nodes; the grid has 4x4"),
+         ("point-particle", "sigma-defect", "periodic", 4, "fd4 stencils span 5 nodes"),
+         ("point-particle", "sigma-defect", "periodic", 6, "8-point stencils do not fit on 6 nodes")],
+        ids=["run-grid", "sigma-defect-grid", "kernel-stencil"],
+    )
+    def test_stencil_wider_than_grid_is_one_line_usage_error(
+        self, tmp_path, capsys, scenario, check, bc, n, message
+    ):
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[run]\nscenario = {scenario}\nbc = {bc}\nchecks = {check}\n"
+            f"[grid]\nn_q = {n}\nn_p = {n}\n"
+        )
+        rc = cli.main(["run", "--config", str(ini), "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}")
+        assert len(err.strip().splitlines()) == 1
+
     def test_compare_identical_and_mismatched(self, tmp_path, capsys, grid, field):
         a = tmp_path / "a.kvhf"
         b = tmp_path / "b.kvhf"

@@ -6,6 +6,7 @@ import pytest
 from kvhsim.grid import FD4, PhaseGrid, ScalarField, time_steps
 from kvhsim.hamiltonian import (
     backward_characteristics,
+    coefficient_fields,
     polynomial_hamiltonian,
     scenario_hamiltonian,
 )
@@ -23,6 +24,7 @@ from kvhsim.vonneumann import (
     point_particle_kernel,
     prequantum_matrix,
     sigma_defect,
+    _rk4_stability,
     _spectral_diff_matrix,
     _upsample2,
 )
@@ -69,6 +71,22 @@ def rk4_step_loop(theta0, H, t_final, dt):
         k4 = rhs(K + dt * k3)
         K = K + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return K
+
+
+def dense_closed_form(theta0, H, t_final, dt):
+    """Reference: the closed form as one expression, V (gain * (V^-1 K0 V)) V^-1."""
+    hbar = theta0.hbar
+    L = prequantum_matrix(H, theta0.grid, hbar)
+    if np.array_equal(L, L.conj().T):
+        mu, V = np.linalg.eigh(L)
+        lam = (-1j / hbar) * mu
+        V_inv = V.conj().T
+    else:
+        lam, V = np.linalg.eig((-1j / hbar) * L)
+        V_inv = np.linalg.inv(V)
+    n_steps, dt = time_steps(t_final, dt)
+    gain = _rk4_stability(dt * (lam[:, None] - lam[None, :])) ** n_steps
+    return V @ (gain * (V_inv @ theta0.K @ V)) @ V_inv
 
 
 def packet(g):
@@ -162,6 +180,21 @@ class TestOperatorDiscretization:
         L = prequantum_matrix(scenario_hamiltonian(name), g, hbar=0.7)
         assert np.array_equal(L, L.conj().T)
 
+    @pytest.mark.parametrize("bc", ["periodic", FD4])
+    @pytest.mark.parametrize(
+        "H",
+        [scenario_hamiltonian(h) for h in SCENARIOS] + [nonseparable()],
+        ids=list(SCENARIOS) + ["nonseparable"],
+    )
+    def test_prequantum_matrix_is_the_dense_formula_byte_for_byte(self, H, bc):
+        # signed zeros included: the in-place assembly does the same float
+        # operations as the expression
+        g = PhaseGrid(-4, 4, -3, 3, 9, 12, bc)
+        Dq, Dp = derivative_matrices(g)
+        a, b, lh = (c.reshape(-1) for c in coefficient_fields(H, g))
+        expected = 1j * 0.7 * (a[:, None] * Dp - b[:, None] * Dq) - np.diag(lh)
+        assert prequantum_matrix(H, g, hbar=0.7).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "H, bc",
         [(scenario_hamiltonian("harmonic"), FD4), (nonseparable(), "periodic")],
@@ -229,6 +262,33 @@ class TestEvolution:
         theta_t = evolve_kernel(theta0, H, 0.1, 2e-3)
         ref = rk4_step_loop(theta0, H, 0.1, 2e-3)
         assert np.max(np.abs(theta_t.K - ref)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "H, g",
+        [(scenario_hamiltonian("harmonic"), coarse_grid()),
+         (scenario_hamiltonian("harmonic"), small_grid(FD4)),
+         (nonseparable(), small_grid())],
+        ids=["eigh", "eig-fd4", "eig-nonseparable"],
+    )
+    def test_closed_form_matches_the_dense_expression(self, H, g):
+        # not bit for bit: elementwise loops round by alignment, and a general
+        # basis amplifies that by kappa_1(V), 1.3e3 on the 10 x 10 FD4 grid
+        theta0 = kernel_from_wavefunction(packet(g))
+        theta_t = evolve_kernel(theta0, H, 0.15, 5e-3)
+        ref = dense_closed_form(theta0, H, 0.15, 5e-3)
+        assert np.max(np.abs(theta_t.K - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bc, solver", [("periodic", "eigh"), (FD4, "eig")], ids=["eigh", "eig"])
+    def test_working_set_is_five_kernels(self, traced_peak, monkeypatch, bc, solver):
+        # numpy-allocated bytes beyond K0: L, then V, V^-1 and two product
+        # arrays; the gain is applied a band of rows at a time
+        g = coarse_grid(bc)
+        theta0 = kernel_from_wavefunction(packet(g))
+        monkeypatch.setattr(np.linalg, {"eigh": "eig", "eig": "eigh"}[solver], refuse)
+        H = scenario_hamiltonian("harmonic")
+        peak = traced_peak(lambda: evolve_kernel(theta0, H, 0.15, 5e-3))
+        n = g.n_q * g.n_p
+        assert peak <= 5 * n * n * np.dtype(complex).itemsize
 
     def test_periodic_separable_never_takes_the_general_eigenbasis(self, monkeypatch):
         g = small_grid()

@@ -13,10 +13,7 @@ from .hamiltonian import (
     HamiltonianSpec,
     OneForm,
     PolynomialHamiltonian,
-    canonical_one_form,
     flow_map,
-    jmap,
-    polynomial_hamiltonian,
     scenario_hamiltonian,
 )
 from .kvh import (

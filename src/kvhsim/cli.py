@@ -22,7 +22,14 @@ import numpy as np
 from . import contact, kvh, liouville, madelung, qhd, vonneumann
 from .fieldio import load_field, save_field, write_csv_log
 from .grid import FD4, PERIODIC, GridError, PhaseGrid, ScalarField, l1_norm, l2_norm, time_steps
-from .hamiltonian import HamiltonianSpec, flow_map, polynomial_hamiltonian, scenario_hamiltonian
+from .hamiltonian import (
+    Characteristics,
+    HamiltonianSpec,
+    PolynomialHamiltonian,
+    backward_characteristics,
+    flow_map,
+    scenario_hamiltonian,
+)
 
 OUTPUT_ROOT_ENV = "KVHSIM_OUTPUT_ROOT"
 
@@ -157,7 +164,7 @@ class RunContext:
             cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, cfg.n_q, cfg.n_p, cfg.bc
         )
         if cfg.poly_coeffs:
-            self.H = polynomial_hamiltonian("custom", cfg.poly_coeffs)
+            self.H = PolynomialHamiltonian("custom", cfg.poly_coeffs)
         else:
             self.H = scenario_hamiltonian(cfg.hamiltonian or SCENARIOS[cfg.scenario]["hamiltonian"])
         self._trajectory = None
@@ -184,14 +191,15 @@ class RunContext:
             )
         return self._trajectory
 
-    def lift(self, H: HamiltonianSpec, t: float) -> contact.ContactTransform:
-        """The lift of H's time-t flow at the run's dt, exited nodes zeroed.
+    def lift(self, H: HamiltonianSpec, t: float) -> Characteristics:
+        """The lift of H's time-t flow: its backward characteristics at the
+        run's dt, exited nodes marked.
 
-        One per (H.name, t), so the checks of a run share its characteristics.
+        One per (H.name, t), so the checks of a run share one backward flow.
         """
         key = (H.name, t)
         if key not in self._lifts:
-            self._lifts[key] = contact.ContactTransform(H, t, self.grid, self.cfg.dt)
+            self._lifts[key] = backward_characteristics(H, self.grid, t, self.cfg.dt)
         return self._lifts[key]
 
 
@@ -213,7 +221,7 @@ def check_characteristics(ctx: RunContext):
     cfg = ctx.cfg
     psi0 = ctx.initial_wavefunction()
     final = ctx.trajectory().final()
-    oracle = kvh.characteristics_oracle(psi0, ctx.lift(ctx.H, cfg.t_final).backward)
+    oracle = kvh.characteristics_oracle(psi0, ctx.lift(ctx.H, cfg.t_final))
     err = l2_norm(ScalarField(ctx.grid, final.field.values - oracle.field.values))
     return [CheckResult("oracle_l2", err, cfg.tol("oracle_l2"))]
 
@@ -227,8 +235,8 @@ def check_commutators(ctx: RunContext):
     ]
     out = []
     for label, ch, cf in pairs:
-        H = polynomial_hamiltonian(f"H_{label}", ch)
-        F = polynomial_hamiltonian(f"F_{label}", cf)
+        H = PolynomialHamiltonian(f"H_{label}", ch)
+        F = PolynomialHamiltonian(f"F_{label}", cf)
         r = kvh.commutator_residual(H, F, psi)
         out.append(CheckResult(f"commutator_residual.{label}", r, ctx.cfg.tol("commutator_residual")))
     return out
@@ -240,7 +248,7 @@ def check_naturality(ctx: RunContext):
     rho0 = madelung.classical_density(psi0)
     final = ctx.trajectory().final()
     rho_wave = madelung.classical_density(final)
-    rho_push = liouville.evolve_pushforward(rho0, ctx.lift(ctx.H, cfg.t_final).backward)
+    rho_push = liouville.evolve_pushforward(rho0, ctx.lift(ctx.H, cfg.t_final))
     dist = l1_norm(ScalarField(ctx.grid, rho_wave.values - rho_push.values))
     mass0 = float(np.real(ctx.grid.integrate_values(rho0.values)))
     mass1 = float(np.real(ctx.grid.integrate_values(rho_wave.values)))
@@ -314,14 +322,13 @@ def check_transport(ctx: RunContext):
 
 def check_equivariance(ctx: RunContext):
     cfg = ctx.cfg
-    T = ctx.lift(scenario_hamiltonian("harmonic"), np.pi / 2)
+    ch = ctx.lift(scenario_hamiltonian("harmonic"), np.pi / 2)
     psi = ctx.initial_wavefunction()
-    H_half = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
-    H_rot = polynomial_hamiltonian("half_p2", {(0, 2): 0.5})  # q2/2 composed with quarter rotation
-    r = contact.equivariance_residual(T, H_half, psi, composed=H_rot)
-    upsi = contact.apply_van_hove(T, psi)
+    H_half = PolynomialHamiltonian("half_q2", {(2, 0): 0.5})
+    H_rot = PolynomialHamiltonian("half_p2", {(0, 2): 0.5})  # q2/2 composed with quarter rotation
+    r, upsi = contact.equivariance_residual(ch, H_half, psi, composed=H_rot)
     rho_u = madelung.classical_density(upsi)
-    rho_push = liouville.evolve_pushforward(madelung.classical_density(psi), T.backward)
+    rho_push = liouville.evolve_pushforward(madelung.classical_density(psi), ch)
     dist = l1_norm(ScalarField(ctx.grid, rho_u.values - rho_push.values))
     return [
         CheckResult("equivariance_residual", r, cfg.tol("equivariance_residual")),
@@ -522,10 +529,6 @@ def run_command(args) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    root = Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
-    outdir = root / (cfg.outdir or f"{cfg.scenario}-out")
-    outdir.mkdir(parents=True, exist_ok=True)
-
     checks = cfg.checks or ("unitarity",)
     results = []
     try:
@@ -533,9 +536,13 @@ def run_command(args) -> int:
             results.extend(CHECKS[name](ctx))
     except (GridError, vonneumann.KernelError, kvh.EvolutionAborted, qhd.UnresolvedStateError) as exc:
         # a check grid too small for its stencils, an ill-conditioned kernel
-        # basis, an unstable dt or an unresolved hbar
+        # basis, an unstable dt or an unresolved hbar; no run directory is made
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+
+    root = Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
+    outdir = root / (cfg.outdir or f"{cfg.scenario}-out")
+    outdir.mkdir(parents=True, exist_ok=True)
 
     # artifacts: snapshots + conserved-quantity log for wavefunction runs
     if ctx._trajectory is not None:

@@ -120,10 +120,6 @@ def poly_poisson(a: dict, b: dict) -> dict:
     )
 
 
-def polynomial_hamiltonian(name: str, coeffs: dict) -> "PolynomialHamiltonian":
-    return PolynomialHamiltonian(name, coeffs)
-
-
 class PolynomialHamiltonian(HamiltonianSpec):
     """Hamiltonian given by a coefficient table {(i, j): c} for c q^i p^j."""
 
@@ -205,19 +201,6 @@ def coefficient_fields(H: HamiltonianSpec, grid: PhaseGrid):
     b = self_broadcast(H.h_p(grid.Q, grid.P), grid)
     lh = self_broadcast(H.lagrangian(grid.Q, grid.P), grid)
     return a, b, lh
-
-
-def canonical_one_form(grid: PhaseGrid) -> OneForm:
-    """The tautological one-form p dq."""
-    return OneForm(
-        ScalarField(grid, grid.P.copy()),
-        ScalarField(grid, np.zeros((grid.n_q, grid.n_p))),
-    )
-
-
-def jmap(a: OneForm):
-    """Symplectic-inverse map: (a_q, a_p) -> (a_p, -a_q)."""
-    return (a.a_p.copy(), -a.a_q)
 
 
 # -- flows -----------------------------------------------------------------

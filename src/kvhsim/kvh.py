@@ -92,16 +92,12 @@ def hermitian_inner(psi1: WaveFunction, psi2: WaveFunction) -> complex:
     return complex(integrate(psi1.field.conj() * psi2.field))
 
 
-def _prequantum(psi: WaveFunction, a, b, lh) -> WaveFunction:
-    """iħ (a ∂_pΨ - b ∂_qΨ) - L Ψ, for a = dH/dq, b = dH/dp and L = L_H on the grid."""
-    grid = psi.grid
-    values = 1j * psi.hbar * grid.bracket(a, b, psi.field.values) - lh * psi.field.values
-    return WaveFunction(ScalarField(grid, values), psi.hbar)
-
-
 def apply_prequantum(H: HamiltonianSpec, psi: WaveFunction) -> WaveFunction:
     """Covariant Liouvillian: iħ {H, Ψ} - L_H Ψ."""
-    return _prequantum(psi, *coefficient_fields(H, psi.grid))
+    grid = psi.grid
+    a, b, lh = coefficient_fields(H, grid)
+    values = 1j * psi.hbar * grid.bracket(a, b, psi.field.values) - lh * psi.field.values
+    return WaveFunction(ScalarField(grid, values), psi.hbar)
 
 
 @dataclass

@@ -21,14 +21,7 @@ from .grid import (
     poisson_bracket,
     rk4_steps,
 )
-from .hamiltonian import (
-    HamiltonianSpec,
-    OneForm,
-    canonical_one_form,
-    coefficient_fields,
-    jmap,
-    self_broadcast,
-)
+from .hamiltonian import HamiltonianSpec, OneForm, coefficient_fields, self_broadcast
 from .kvh import WaveFunction
 
 
@@ -68,32 +61,24 @@ def hydro_from_wavefunction(psi: WaveFunction) -> HydroState:
 
 
 def classical_density(psi: WaveFunction) -> ScalarField:
-    """Momentum map to densities: |Ψ|² - div(JA |Ψ|²) + iħ{Ψ, conj Ψ}.
+    """Momentum map to densities: |Ψ|² + ∂_p(p|Ψ|²) + iħ{Ψ, conj Ψ}.
 
-    In canonical coordinates JA = (0, -p), so the middle term is
-    +d/dp(p |Ψ|²). The result is real up to round-off.
+    The middle term is -div(JA |Ψ|²) for the canonical one-form A = p dq,
+    whose image under J is (0, -p). The result is real up to round-off.
     """
     g = psi.grid
     abssq = np.abs(psi.field.values) ** 2
-    A = canonical_one_form(g)
-    ja_q, ja_p = jmap(A)
-    div_term = divergence(
-        ScalarField(g, ja_q.values * abssq), ScalarField(g, ja_p.values * abssq)
-    )
     bracket = poisson_bracket(psi.field, psi.field.conj())
-    rho = abssq - div_term.values + 1j * psi.hbar * bracket.values
+    rho = abssq + g.ddp(g.P * abssq) + 1j * psi.hbar * bracket.values
     return ScalarField(g, np.real(rho))
 
 
 def classical_density_from_hydro(h: HydroState) -> ScalarField:
-    """Alternative density representation: D + div(J sigma - J A D)."""
+    """Alternative density representation: D + ∂_q σ_p + ∂_p(pD - σ_q),
+    which is D + div(Jσ - JA D)."""
     g = h.grid
-    js_q, js_p = jmap(h.sigma)
-    A = canonical_one_form(g)
-    ja_q, ja_p = jmap(A)
-    v_q = ScalarField(g, js_q.values - ja_q.values * h.D.values)
-    v_p = ScalarField(g, js_p.values - ja_p.values * h.D.values)
-    return ScalarField(g, h.D.values + divergence(v_q, v_p).values)
+    v_p = ScalarField(g, g.P * h.D.values - h.sigma.a_q.values)
+    return ScalarField(g, h.D.values + divergence(h.sigma.a_p, v_p).values)
 
 
 def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float, stride: int = 0):

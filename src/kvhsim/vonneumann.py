@@ -78,10 +78,6 @@ class VNKernel:
         return VNKernel(self.grid, self.K.copy(), self.hbar)
 
 
-def _flatten(values: np.ndarray) -> np.ndarray:
-    return values.reshape(-1)
-
-
 @lru_cache(maxsize=8)
 def _spectral_diff_matrix(n: int, spacing: float) -> np.ndarray:
     D = np.real(np.fft.ifft(spectral_ik(n, spacing)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
@@ -134,7 +130,7 @@ def kernel_from_wavefunction(psi: WaveFunction) -> VNKernel:
     norm = psi.norm()
     if abs(norm - 1.0) > 1e-8:
         raise KernelError(f"wavefunction norm {norm:.6g} is not 1")
-    v = _flatten(psi.field.values)
+    v = psi.field.values.reshape(-1)
     return VNKernel(psi.grid, np.outer(v, v.conj()), psi.hbar)
 
 
@@ -148,7 +144,7 @@ def prequantum_matrix(H: HamiltonianSpec, grid: PhaseGrid, hbar: float = 1.0) ->
     FD4 stencils and non-separable H give a non-Hermitian matrix.
     """
     Dq, Dp = derivative_matrices(grid)
-    a, b, lh = (_flatten(c) for c in coefficient_fields(H, grid))
+    a, b, lh = (c.reshape(-1) for c in coefficient_fields(H, grid))
     # the bytes of 1j*hbar*(a[:, None]*Dp - b[:, None]*Dq) - np.diag(lh),
     # formed in the two kron matrices and one complex matrix: the complex
     # product of 1j*hbar and m has real part 0*m - hbar*0 and imaginary part
@@ -391,8 +387,8 @@ def point_particle_kernel(D_target: ScalarField, hbar: float = 1.0) -> VNKernel:
     fp = np.add.outer(np.arange(g.n_p), np.arange(g.n_p))
     n = g.n_q * g.n_p
     Dmid = fine[fq[:, None, :, None], fp[None, :, None, :]].reshape(n, n)
-    q = _flatten(g.Q)
-    p = _flatten(g.P)
+    q = g.Q.reshape(-1)
+    p = g.P.reshape(-1)
     phase = np.exp((1j / (2 * hbar)) * (p[:, None] + p[None, :]) * (q[:, None] - q[None, :]))
     K = Dmid * phase
     # interpolation at coincident points is exact, keep Hermiticity exact too

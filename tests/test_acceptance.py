@@ -7,6 +7,7 @@ file stays under five minutes.
 """
 
 import filecmp
+import functools
 
 import numpy as np
 import pytest
@@ -35,24 +36,25 @@ def _from_results(label, results):
     _report(label, [(r.name, r.value, r.tol) for r in results])
 
 
+@functools.cache
+def _fine_context(scenario):
+    """One 128x128 run context per scenario, at its own period and dt = 1e-3:
+    test_01 and test_02 share the harmonic trajectory instead of solving it twice."""
+    return RunContext(apply_scenario_defaults(RunConfig(scenario=scenario, n_q=128, n_p=128)))
+
+
 def test_01_unitarity_and_energy_all_hamiltonians():
     # one characteristic period per scenario, 128x128, dt = 1e-3
     results = []
     for name in SCENARIO_NAMES:
-        cfg = apply_scenario_defaults(
-            RunConfig(scenario=f"{name}-kvh", n_q=128, n_p=128)
-        )
-        ctx = RunContext(cfg)
+        ctx = _fine_context(f"{name}-kvh")
         for r in cli.check_unitarity(ctx) + cli.check_energy(ctx):
             results.append(type(r)(f"{name}.{r.name}", r.value, r.tol))
     _from_results("conservation", results)
 
 
 def test_02_characteristics_oracle_and_convergence_order():
-    cfg = apply_scenario_defaults(
-        RunConfig(scenario="harmonic-kvh", n_q=128, n_p=128)
-    )
-    (main,) = cli.check_characteristics(RunContext(cfg))
+    (main,) = cli.check_characteristics(_fine_context("harmonic-kvh"))
 
     # dt-halving study on the coarser grid, away from its interpolation floor
     errs = []

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from kvhsim import hamiltonian
-from kvhsim.contact import ContactTransform, apply_van_hove, equivariance_residual
+from kvhsim import cli, contact, hamiltonian
+from kvhsim.contact import apply_van_hove, connection_residual, equivariance_residual
 from kvhsim.grid import PhaseGrid, ScalarField, l2_norm
 from kvhsim.hamiltonian import (
+    PolynomialHamiltonian,
     backward_characteristics,
     central_gradient,
+    flow_map,
     flow_with_action,
-    polynomial_hamiltonian,
     scenario_hamiltonian,
 )
 from kvhsim.kvh import characteristics_oracle, gaussian_wavepacket
@@ -30,40 +31,43 @@ def psi(grid):
 
 @pytest.fixture
 def quarter_turn(grid):
-    return ContactTransform(scenario_hamiltonian("harmonic"), np.pi / 2, grid)
+    """The lift of the harmonic quarter turn: its backward characteristics."""
+    return backward_characteristics(scenario_hamiltonian("harmonic"), grid, np.pi / 2, 1e-3)
 
 
 class TestLift:
-    def test_connection_membership(self, quarter_turn):
-        assert quarter_turn.connection_residual() < 1e-4
+    def test_connection_membership(self, grid):
+        assert connection_residual(scenario_hamiltonian("harmonic"), np.pi / 2, grid, 1e-3) < 1e-4
 
     @pytest.mark.parametrize("name", ["quartic", "pendulum"])
     def test_connection_membership_of_anharmonic_flows(self, name):
         g = PhaseGrid(-2, 2, -2, 2, 16, 16)
-        T = ContactTransform(scenario_hamiltonian(name), 0.7, g)
-        assert T.connection_residual() < 1e-4
+        assert connection_residual(scenario_hamiltonian(name), 0.7, g, 1e-3) < 1e-4
 
     @pytest.mark.parametrize("name", ["harmonic", "quartic", "pendulum"])
     def test_flow_is_unimodular(self, name):
         # Liouville: eta preserves area, so its Jacobian determinant is 1
         g = PhaseGrid(-2, 2, -2, 2, 16, 16)
-        T = ContactTransform(scenario_hamiltonian(name), 0.7, g)
-        (dq_dq, dp_dq), (dq_dp, dp_dp) = central_gradient(T.eta, g.Q, g.P)
+        H = scenario_hamiltonian(name)
+        (dq_dq, dp_dq), (dq_dp, dp_dp) = central_gradient(
+            lambda q, p: flow_map(H, 0.7, (q, p)), g.Q, g.P
+        )
         det = dq_dq * dp_dp - dq_dp * dp_dq
         assert np.max(np.abs(det - 1.0)) < 1e-5
 
-    def test_inverse_composes_to_identity(self, quarter_turn, grid):
-        q, p = quarter_turn.eta(grid.Q, grid.P)
-        inverse = ContactTransform(quarter_turn.generator, -quarter_turn.time, grid)
-        q0, p0 = inverse.eta(q, p)
+    def test_inverse_composes_to_identity(self, grid):
+        H = scenario_hamiltonian("harmonic")
+        q, p = flow_map(H, np.pi / 2, (grid.Q, grid.P))
+        q0, p0 = flow_map(H, -np.pi / 2, (q, p))
         assert np.max(np.abs(q0 - grid.Q)) < 1e-8
         assert np.max(np.abs(p0 - grid.P)) < 1e-8
 
     def test_domain_exit_policy(self):
         g = PhaseGrid(-1, 1, -1, 1, 16, 16)
-        T = ContactTransform(scenario_hamiltonian("free"), 3.0, g)
-        inverse = ContactTransform(T.generator, -T.time, g)
-        assert T.backward.exited.any() and inverse.backward.exited.any()
+        H = scenario_hamiltonian("free")
+        forward = backward_characteristics(H, g, 3.0, 1e-3)
+        inverse = backward_characteristics(H, g, -3.0, 1e-3)
+        assert forward.exited.any() and inverse.exited.any()
 
     def test_lift_and_equivariance_share_their_flows(self, monkeypatch):
         # one residual flows the lift's backward characteristics once, and
@@ -76,11 +80,11 @@ class TestLift:
 
         g = PhaseGrid(-8, 8, -8, 8, 16, 16)
         psi = gaussian_wavepacket(g, center=(0.5, 0.3), sigma=(1.5, 1.5))
-        H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
-        H_rot = polynomial_hamiltonian("half_p2", {(0, 2): 0.5})
+        H = PolynomialHamiltonian("half_q2", {(2, 0): 0.5})
+        H_rot = PolynomialHamiltonian("half_p2", {(0, 2): 0.5})
         monkeypatch.setattr(hamiltonian, "flow_with_action", counted)
-        T = ContactTransform(scenario_hamiltonian("harmonic"), np.pi / 2, g)
-        equivariance_residual(T, H, psi, composed=H_rot)
+        ch = backward_characteristics(scenario_hamiltonian("harmonic"), g, np.pi / 2, 1e-3)
+        equivariance_residual(ch, H, psi, composed=H_rot)
         assert flows == [-np.pi / 2]
 
 
@@ -91,7 +95,7 @@ class TestVanHoveAction:
 
     def test_inverse_action_roundtrip(self, quarter_turn, psi, grid):
         upsi = apply_van_hove(quarter_turn, psi)
-        inverse = ContactTransform(quarter_turn.generator, -quarter_turn.time, grid)
+        inverse = backward_characteristics(scenario_hamiltonian("harmonic"), grid, -np.pi / 2, 1e-3)
         back = apply_van_hove(inverse, upsi)
         err = l2_norm(ScalarField(grid, back.field.values - psi.field.values))
         assert err < 1e-4
@@ -102,8 +106,7 @@ class TestVanHoveAction:
         g = PhaseGrid(-3, 3, -3, 3, 32, 32)
         H = scenario_hamiltonian(name)
         psi = gaussian_wavepacket(g, center=(0.8, 0.0), sigma=(0.35, 0.35))
-        T = ContactTransform(H, t, g)
-        upsi = apply_van_hove(T, psi).field.values
+        upsi = apply_van_hove(backward_characteristics(H, g, t, 1e-3), psi).field.values
         ch = backward_characteristics(H, g, t, 1e-3)
         oracle = characteristics_oracle(psi, ch).field.values
         assert np.array_equal(upsi, oracle)
@@ -114,15 +117,17 @@ class TestVanHoveAction:
 class TestEquivariance:
     def test_closed_form_composition(self, quarter_turn, psi):
         # quarter rotation maps q^2/2 to p^2/2
-        H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
-        H_rot = polynomial_hamiltonian("half_p2", {(0, 2): 0.5})
-        r = equivariance_residual(quarter_turn, H, psi, composed=H_rot)
+        H = PolynomialHamiltonian("half_q2", {(2, 0): 0.5})
+        H_rot = PolynomialHamiltonian("half_p2", {(0, 2): 0.5})
+        r, upsi = equivariance_residual(quarter_turn, H, psi, composed=H_rot)
         assert r < 1e-5
+        assert np.array_equal(upsi.field.values, apply_van_hove(quarter_turn, psi).field.values)
 
     def test_unrotated_composition_is_rejected(self, quarter_turn, psi):
         # negative control: q^2/2 itself is not q^2/2 composed with the turn
-        H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
-        assert equivariance_residual(quarter_turn, H, psi, composed=H) > 1e-2
+        H = PolynomialHamiltonian("half_q2", {(2, 0): 0.5})
+        r, _ = equivariance_residual(quarter_turn, H, psi, composed=H)
+        assert r > 1e-2
 
     @pytest.mark.parametrize("t", [0.4, np.pi / 4, 3 * np.pi / 4], ids=["0.4", "pi/4", "3pi/4"])
     def test_composition_at_other_angles(self, grid, psi, t):
@@ -130,9 +135,24 @@ class TestEquivariance:
         # quarter turns the nodes land between nodes, so the bicubic
         # interpolation floor (~3e-4 at 64 nodes) bounds the residual
         c, s = np.cos(t), np.sin(t)
-        T = ContactTransform(scenario_hamiltonian("harmonic"), t, grid)
-        H = polynomial_hamiltonian("half_q2", {(2, 0): 0.5})
-        composed = polynomial_hamiltonian(
+        ch = backward_characteristics(scenario_hamiltonian("harmonic"), grid, t, 1e-3)
+        H = PolynomialHamiltonian("half_q2", {(2, 0): 0.5})
+        composed = PolynomialHamiltonian(
             "half_q2_rotated", {(2, 0): c * c / 2, (1, 1): c * s, (0, 2): s * s / 2}
         )
-        assert equivariance_residual(T, H, psi, composed=composed) < 1e-3
+        r, _ = equivariance_residual(ch, H, psi, composed=composed)
+        assert r < 1e-3
+
+    def test_check_lifts_psi_once(self, monkeypatch):
+        # Uψ serves both the residual and the momentum-map comparison, so the
+        # check applies U twice: to ψ and to L̂_{H∘η}ψ
+        calls = []
+
+        def counted(ch, psi):
+            calls.append(ch.t)
+            return apply_van_hove(ch, psi)
+
+        monkeypatch.setattr(contact, "apply_van_hove", counted)
+        cfg = cli.RunConfig(scenario="harmonic-kvh", n_q=16, n_p=16, dt=1e-2)
+        cli.check_equivariance(cli.RunContext(cli.apply_scenario_defaults(cfg)))
+        assert calls == [np.pi / 2, np.pi / 2]

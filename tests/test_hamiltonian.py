@@ -10,15 +10,13 @@ from kvhsim.hamiltonian import (
     HamiltonianError,
     HamiltonianSpec,
     OneForm,
-    canonical_one_form,
+    PolynomialHamiltonian,
     central_gradient,
     coefficient_fields,
     flow_map,
     flow_with_action,
-    jmap,
     out_of_domain_mask,
     poly_poisson,
-    polynomial_hamiltonian,
     scenario_hamiltonian,
 )
 
@@ -57,19 +55,19 @@ class TestLibrary:
 
 class TestPolynomialAlgebra:
     def test_eval_and_partials(self):
-        H = polynomial_hamiltonian("mix", {(2, 1): 1.5, (0, 0): -1.0})
+        H = PolynomialHamiltonian("mix", {(2, 1): 1.5, (0, 0): -1.0})
         assert H.h(2.0, 3.0) == pytest.approx(1.5 * 4 * 3 - 1.0)
         assert H.h_q(2.0, 3.0) == pytest.approx(1.5 * 2 * 2 * 3)
         assert H.h_p(2.0, 3.0) == pytest.approx(1.5 * 4)
 
     def test_canonical_bracket(self):
-        q = polynomial_hamiltonian("q", {(1, 0): 1.0})
-        p = polynomial_hamiltonian("p", {(0, 1): 1.0})
+        q = PolynomialHamiltonian("q", {(1, 0): 1.0})
+        p = PolynomialHamiltonian("p", {(0, 1): 1.0})
         assert q.poisson_with(p).coeffs == {(0, 0): 1.0}
 
     def test_harmonic_generates_rotation_of_qp(self):
-        H = polynomial_hamiltonian("harmonic", {(2, 0): 0.5, (0, 2): 0.5})
-        qp = polynomial_hamiltonian("qp", {(1, 1): 1.0})
+        H = PolynomialHamiltonian("harmonic", {(2, 0): 0.5, (0, 2): 0.5})
+        qp = PolynomialHamiltonian("qp", {(1, 1): 1.0})
         # {H, qp} = q^2 - p^2
         assert H.poisson_with(qp).coeffs == {(2, 0): 1.0, (0, 2): -1.0}
 
@@ -81,7 +79,7 @@ class TestPolynomialAlgebra:
         assert ab == {k: -v for k, v in ba.items()}
 
     def test_constant_hamiltonian(self):
-        H = polynomial_hamiltonian("c", {(0, 0): 4.0})
+        H = PolynomialHamiltonian("c", {(0, 0): 4.0})
         assert H.h(1.0, 2.0) == pytest.approx(4.0)
         assert H.lagrangian(1.0, 2.0) == pytest.approx(-4.0)
 
@@ -97,21 +95,12 @@ class TestGeometricObjects:
 
     def test_constant_coefficients_fill_the_grid(self):
         g = PhaseGrid(-2, 2, -2, 2, 8, 6)
-        a, b, lh = coefficient_fields(polynomial_hamiltonian("c", {(0, 0): 4.0}), g)
+        a, b, lh = coefficient_fields(PolynomialHamiltonian("c", {(0, 0): 4.0}), g)
         for f, value in ((a, 0.0), (b, 0.0), (lh, -4.0)):
             assert f.shape == (8, 6)
             np.testing.assert_array_equal(f, value)
         lh[0, 0] = 1.0
         assert lh[1, 1] == -4.0
-
-    def test_canonical_one_form_and_jmap(self):
-        g = PhaseGrid(-2, 2, -2, 2, 8, 8)
-        A = canonical_one_form(g)
-        np.testing.assert_allclose(A.a_q.values, g.P)
-        assert np.all(A.a_p.values == 0)
-        ja_q, ja_p = jmap(A)
-        np.testing.assert_allclose(ja_q.values, 0.0)
-        np.testing.assert_allclose(ja_p.values, -g.P)
 
     def test_one_form_grid_mismatch(self):
         from kvhsim.grid import ScalarField

@@ -284,6 +284,7 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {message}")
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_qhd_blow_up_is_one_line_usage_error(self, tmp_path, capsys):
         # no grid resolves the coherent state's width at this hbar, so the
@@ -299,6 +300,7 @@ class TestCommandLine:
         assert err.startswith("configuration error: coherent state at hbar = 1e-300")
         assert "dx = 0.0781" in err
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_kernel_error_is_one_line_usage_error(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
@@ -312,6 +314,7 @@ class TestCommandLine:
         assert err.startswith("configuration error: ")
         assert len(err.strip().splitlines()) == 1
         assert "characteristics" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "scenario, check, bc, n, message",
@@ -333,6 +336,7 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {message}")
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_compare_identical_and_mismatched(self, tmp_path, capsys, grid, field):
         a = tmp_path / "a.kvhf"

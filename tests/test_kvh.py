@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kvhsim.grid import GridMismatchError, PhaseGrid, ScalarField, l2_norm
 from kvhsim.hamiltonian import (
+    PolynomialHamiltonian,
     backward_characteristics,
-    polynomial_hamiltonian,
     scenario_hamiltonian,
 )
 from kvhsim.kvh import (
@@ -79,7 +79,7 @@ class TestPrequantumOperator:
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_constant_hamiltonian_is_multiplication(self, psi):
-        out = apply_prequantum(polynomial_hamiltonian("c", {(0, 0): 2.5}), psi)
+        out = apply_prequantum(PolynomialHamiltonian("c", {(0, 0): 2.5}), psi)
         np.testing.assert_allclose(out.field.values, 2.5 * psi.field.values, atol=1e-13)
 
     def test_energy_is_real_and_stable(self, psi):
@@ -92,10 +92,8 @@ class TestPrequantumOperator:
 
 class TestCommutators:
     def test_canonical_pair_residual_small(self, psi):
-        from kvhsim.hamiltonian import polynomial_hamiltonian
-
-        q = polynomial_hamiltonian("q", {(1, 0): 1.0})
-        p = polynomial_hamiltonian("p", {(0, 1): 1.0})
+        q = PolynomialHamiltonian("q", {(1, 0): 1.0})
+        p = PolynomialHamiltonian("p", {(0, 1): 1.0})
         assert commutator_residual(q, p, psi) < 1e-8
 
     def test_nonpolynomial_needs_bracket(self, psi):

@@ -43,10 +43,8 @@ ALLOWED = {
         "tests energy conservation of schrodinger_evolve",
     "vonneumann.VNKernel.hermiticity_residual":
         "tests that evolve_kernel's output is Hermitian",
-    "contact.ContactTransform.connection_residual":
+    "contact.connection_residual":
         "checks the strict-contact condition eta*A + dphi = A",
-    "contact.ContactTransform.eta":
-        "the forward flow connection_residual pulls A back by",
     "hamiltonian.central_gradient":
         "the partials check of HamiltonianSpec.__post_init__",
 }

@@ -5,9 +5,9 @@ import pytest
 
 from kvhsim.grid import FD4, PhaseGrid, ScalarField, time_steps
 from kvhsim.hamiltonian import (
+    PolynomialHamiltonian,
     backward_characteristics,
     coefficient_fields,
-    polynomial_hamiltonian,
     scenario_hamiltonian,
 )
 from kvhsim.kvh import apply_prequantum, characteristics_oracle, gaussian_wavepacket, kvh_energy
@@ -34,7 +34,7 @@ SCENARIOS = ("harmonic", "free", "quartic", "pendulum")
 
 def nonseparable():
     # h_q depends on p and h_p on q: the discrete L is not Hermitian
-    return polynomial_hamiltonian("mixed", {(2, 0): 0.5, (0, 2): 0.5, (1, 1): 0.3})
+    return PolynomialHamiltonian("mixed", {(2, 0): 0.5, (0, 2): 0.5, (1, 1): 0.3})
 
 
 def refuse(*args, **kwargs):

@@ -359,13 +359,12 @@ def check_vonneumann(ctx: RunContext):
     ]
 
 
-def check_sigma_defect(ctx: RunContext):
+def _point_particle_setup(cfg: RunConfig):
+    """(grid, D(q, p)) of the sigma-defect check: a Gaussian of width 4 dq
+    about (1, 0), normalized on the nodes of a cell-centered FD4 box."""
     # cell-centered box: the quarter-period rotation then maps the node
     # set onto itself, which keeps the characteristics propagator exact at
-    # the boundary rows where the kernel still carries mass. The kernel
-    # phase is a chirp at frequency p/hbar, so a large hbar keeps it well
-    # resolved by the wide extraction stencils at 24 nodes per axis.
-    cfg = ctx.cfg
+    # the boundary rows where the kernel still carries mass.
     shift_q = 0.5 * (cfg.q_max - cfg.q_min) / cfg.n_q
     shift_p = 0.5 * (cfg.p_max - cfg.p_min) / cfg.n_p
     g = PhaseGrid(
@@ -373,12 +372,23 @@ def check_sigma_defect(ctx: RunContext):
         cfg.p_min + shift_p, cfg.p_max + shift_p,
         cfg.n_q, cfg.n_p, FD4,
     )
+    eps = 4 * g.dq
+
+    def envelope(q, p):
+        return np.exp(-((q - 1.0) ** 2 + p**2) / (2 * eps**2))
+
+    total = np.real(g.integrate_values(envelope(g.Q, g.P)))
+    return g, lambda q, p: envelope(q, p) / total
+
+
+def check_sigma_defect(ctx: RunContext):
+    # The kernel phase is a chirp at frequency p/hbar, so a large hbar keeps
+    # it well resolved by the wide extraction stencils at 24 nodes per axis.
+    cfg = ctx.cfg
+    g, density = _point_particle_setup(cfg)
     hbar = 16.0
     t_final = np.pi / 2
-    eps = 4 * g.dq
-    env = np.exp(-((g.Q - 1.0) ** 2 + g.P**2) / (2 * eps**2))
-    D = ScalarField(g, env / np.real(g.integrate_values(env)))
-    theta0 = vonneumann.point_particle_kernel(D, hbar=hbar)
+    theta0 = vonneumann.point_particle_kernel(g, density, hbar)
     defect0 = vonneumann.sigma_defect(vonneumann.hydro_from_kernel(theta0))
     theta_t = vonneumann.evolve_kernel(
         theta0, ctx.H, t_final, cfg.dt, method="characteristics"

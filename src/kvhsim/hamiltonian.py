@@ -7,13 +7,12 @@ dependence on the field discretization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grid import GridMismatchError, PhaseGrid, ScalarField, interpolate_field, rk4_step
+from .grid import GridMismatchError, PhaseGrid, ScalarField, interpolate_field, rk4_step, time_steps
 
 Func2 = Callable[[np.ndarray, np.ndarray], np.ndarray]
 CENTRAL_STEP = 1e-5
@@ -215,14 +214,13 @@ def flow_with_action(H: HamiltonianSpec, t: float, q0, p0, dt: float = 1e-3):
 
     Returns (q(t), p(t), integral of L_H along the trajectory). Negative t
     integrates backwards. Vectorized over arrays of initial points, stepped
-    in place by ceil(|t| / dt) grid.rk4_step calls in buffers allocated once.
+    in place by the time_steps(|t|, dt) grid.rk4_step calls of every field
+    solver, in buffers allocated once; dt must be positive and finite.
     """
     q, p = (np.array(v, dtype=float) for v in np.broadcast_arrays(q0, p0))
     a = np.zeros_like(q)
-    if t == 0:
-        return q, p, a
-    n_steps = max(1, int(math.ceil(abs(t) / abs(dt))))
-    h = t / n_steps
+    n_steps, h = time_steps(abs(t), dt)
+    h = -h if t < 0 else h
 
     def rhs(q, p, _, out):
         dq, dp, da = out

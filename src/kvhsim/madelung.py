@@ -146,25 +146,24 @@ def one_form_transport_residual(snapshots, times, H: HamiltonianSpec):
     """Residual time-series of (d/dt + £_{X_H})(dS - A) = 0.
 
     The time derivative is a centered difference between neighboring
-    snapshots, so residuals are reported at interior snapshot times.
+    snapshots, so residuals are reported at interior snapshot times; only
+    the one-forms of three neighboring snapshots are held at a time.
     """
     if len(snapshots) < 3:
         raise ValueError("need at least three snapshots for a centered time derivative")
     g = snapshots[0].S.grid
-    taus = []
-    for pair in snapshots:
-        tau_q = g.ddq(pair.S.values) - g.P
-        tau_p = g.ddp(pair.S.values)
-        taus.append((tau_q, tau_p))
+    taus = ((g.ddq(pair.S.values) - g.P, g.ddp(pair.S.values)) for pair in snapshots)
     coeffs = _lie_coefficients(H, g)
+    prev, cur = next(taus), next(taus)
     out = []
-    for k in range(1, len(snapshots) - 1):
+    for k, nxt in enumerate(taus, start=1):
         dt_c = times[k + 1] - times[k - 1]
-        dtau_q = (taus[k + 1][0] - taus[k - 1][0]) / dt_c
-        dtau_p = (taus[k + 1][1] - taus[k - 1][1]) / dt_c
-        lie_q, lie_p = _lie_derivative_one_form(taus[k][0], taus[k][1], coeffs, g)
+        dtau_q = (nxt[0] - prev[0]) / dt_c
+        dtau_p = (nxt[1] - prev[1]) / dt_c
+        lie_q, lie_p = _lie_derivative_one_form(cur[0], cur[1], coeffs, g)
         res = np.sqrt(
             ((dtau_q + lie_q) ** 2 + (dtau_p + lie_p) ** 2).sum() * g.dq * g.dp
         )
         out.append(float(res))
+        prev, cur = cur, nxt
     return out

@@ -8,7 +8,6 @@ the quadrature weight dq*dp.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -61,9 +60,6 @@ class VNKernel:
     def trace(self) -> float:
         return float(np.real(np.trace(self.K))) * self.weight
 
-    def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.K - self.K.conj().T)))
-
     def casimir(self) -> float:
         """Tr(Theta^2) with quadrature weights."""
         M = self.K * self.weight
@@ -87,23 +83,21 @@ def _spectral_diff_matrix(n: int, spacing: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _local_stencil_matrix(n: int, npts: int, shift: float, order: int) -> np.ndarray:
-    """Row i: npts-point polynomial weights for the value (order 0) or the
-    first derivative (order 1) at node i + shift, on unit spacing.
+def _local_stencil_matrix(n: int, npts: int) -> np.ndarray:
+    """Row i: npts-point polynomial weights for the first derivative at
+    node i, on unit spacing.
 
-    Each window is centred on i + shift where it fits and one-sided at the
-    edges. npts = 5 reproduces the grid's fd4 stencils exactly.
+    Each window is centred on i where it fits and one-sided at the edges.
+    npts = 5 reproduces the grid's fd4 stencils exactly.
     """
     if n < npts:
         raise KernelError(f"{npts}-point stencils do not fit on {n} nodes per axis")
     M = np.zeros((n, n))
-    start = math.ceil(shift - (npts - 1) / 2)
     for i in range(n):
-        lo = min(max(i + start, 0), n - npts)
-        offsets = np.arange(lo, lo + npts) - i - shift
-        A = np.vander(offsets, npts, increasing=True).T.astype(float)
+        lo = min(max(i - (npts - 1) // 2, 0), n - npts)
+        A = np.vander(np.arange(lo - i, lo - i + npts), npts, increasing=True).T.astype(float)
         b = np.zeros(npts)
-        b[order] = 1.0
+        b[1] = 1.0
         M[i, lo : lo + npts] = np.linalg.solve(A, b)
     return M
 
@@ -113,7 +107,7 @@ def _diff_matrix(n: int, spacing: float, bc: str, npts: int = 5) -> np.ndarray:
     # sit below a tight tolerance (kernel hydrodynamic extraction)
     if bc == PERIODIC:
         return _spectral_diff_matrix(n, spacing)
-    return _local_stencil_matrix(n, npts, 0.0, 1) / spacing
+    return _local_stencil_matrix(n, npts) / spacing
 
 
 def derivative_matrices(grid: PhaseGrid, npts: int = 5):
@@ -147,17 +141,15 @@ def prequantum_matrix(H: HamiltonianSpec, grid: PhaseGrid, hbar: float = 1.0) ->
     a, b, lh = (c.reshape(-1) for c in coefficient_fields(H, grid))
     # the bytes of 1j*hbar*(a[:, None]*Dp - b[:, None]*Dq) - np.diag(lh),
     # formed in the two kron matrices and one complex matrix: the complex
-    # product of 1j*hbar and m has real part 0*m - hbar*0 and imaginary part
-    # 0*0 + hbar*m, signed zeros included, and diag(lh) meets the diagonal only
+    # product of m and 1j*hbar has real part m*0 - 0*hbar and imaginary part
+    # m*hbar + 0*0, signed zeros included, and diag(lh) meets the diagonal only
     Dp *= a[:, None]
     Dq *= b[:, None]
     Dp -= Dq
     del Dq
-    L = np.empty(Dp.shape, complex)
-    np.multiply(Dp, 0.0, out=L.real)
-    L.real -= hbar * 0.0
-    np.multiply(Dp, hbar, out=L.imag)
-    L.imag += 0.0
+    L = Dp.astype(complex)
+    del Dp
+    L *= 1j * hbar
     L.reshape(-1)[:: len(lh) + 1] -= lh
     return L
 
@@ -345,53 +337,30 @@ def hydro_from_kernel(theta: VNKernel) -> HydroState:
     )
 
 
-def _upsample2(values: np.ndarray) -> np.ndarray:
-    """Refine a field to the half-spacing grid by local polynomial interpolation.
-
-    Deliberately not Fourier-based: midpoint evaluation must not pick up
-    periodization ringing from non-periodic (boundary-tailed) densities.
-    """
-    nq, np_ = values.shape
-    # 8-point local stencils evaluating each line at i + 1/2
-    Sq = _local_stencil_matrix(nq, 8, 0.5, 0)
-    Sp = _local_stencil_matrix(np_, 8, 0.5, 0)
-    half_q = Sq @ values
-    fine_q = np.empty((2 * nq, np_))
-    fine_q[0::2] = values
-    fine_q[1::2] = half_q
-    half_p = fine_q @ Sp.T
-    fine = np.empty((2 * nq, 2 * np_))
-    fine[:, 0::2] = fine_q
-    fine[:, 1::2] = half_p
-    return fine
-
-
-def point_particle_kernel(D_target: ScalarField, hbar: float = 1.0) -> VNKernel:
+def point_particle_kernel(grid: PhaseGrid, density, hbar: float) -> VNKernel:
     """Kernel D((z+z')/2) exp(i (p+p')(q-q') / 2ħ) realizing rho = D.
 
-    D must be nonnegative and integrate to 1 within 1e-8. The phase factor
-    is evaluated in closed form at node pairs. Midpoints (z+z')/2 all sit
-    on the half-spacing refinement of the grid, so D is evaluated there by
-    local polynomial upsampling (scattered interpolation would leak a
-    few-percent error into the extracted sigma).
+    The density D is a callable D(q, p), evaluated at the midpoint of every
+    pair of nodes, so K is the formula up to rounding. D must be
+    nonnegative at every midpoint (the nodes included) and integrate to 1
+    on the nodes within 1e-8.
     """
-    g = D_target.grid
-    if np.min(D_target.values) < -1e-12:
-        raise KernelError("target density must be nonnegative")
-    total = float(np.real(g.integrate_values(D_target.values)))
+    g = grid
+    n = g.n_q * g.n_p
+    # the midpoint of nodes (iq, ip) and (jq, jp), broadcast over (iq, ip, jq, jp)
+    q_mid = 0.5 * np.add.outer(g.q, g.q)[:, None, :, None]
+    p_mid = 0.5 * np.add.outer(g.p, g.p)[None, :, None, :]
+    Dmid = np.broadcast_to(density(q_mid, p_mid), (g.n_q, g.n_p, g.n_q, g.n_p)).reshape(n, n)
+    if np.min(Dmid) < -1e-12:
+        raise KernelError("target density must be nonnegative at the nodes and pair midpoints")
+    total = float(g.integrate_values(np.diagonal(Dmid)))
     if abs(total - 1.0) > 1e-8:
         raise KernelError(f"target density integrates to {total:.6g}, expected 1")
-    fine = _upsample2(D_target.values)
-    # midpoint of nodes (iq,ip) and (jq,jp) has fine-grid index (iq+jq, ip+jp)
-    fq = np.add.outer(np.arange(g.n_q), np.arange(g.n_q))
-    fp = np.add.outer(np.arange(g.n_p), np.arange(g.n_p))
-    n = g.n_q * g.n_p
-    Dmid = fine[fq[:, None, :, None], fp[None, :, None, :]].reshape(n, n)
     q = g.Q.reshape(-1)
     p = g.P.reshape(-1)
     phase = np.exp((1j / (2 * hbar)) * (p[:, None] + p[None, :]) * (q[:, None] - q[None, :]))
     K = Dmid * phase
-    # interpolation at coincident points is exact, keep Hermiticity exact too
+    # keep Hermiticity exact whatever exp rounds on the two sides
     K = 0.5 * (K + K.conj().T)
     return VNKernel(g, K, hbar)
 

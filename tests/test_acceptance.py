@@ -14,7 +14,6 @@ import pytest
 
 from kvhsim import cli
 from kvhsim.cli import RunConfig, RunContext, apply_scenario_defaults
-from kvhsim.grid import FD4, PhaseGrid, ScalarField
 from kvhsim.hamiltonian import SCENARIO_NAMES
 from kvhsim.madelung import classical_density_from_hydro
 from kvhsim.vonneumann import (
@@ -107,22 +106,15 @@ def test_08_point_particle_structure_and_tracking():
     cfg = apply_scenario_defaults(RunConfig(scenario="point-particle"))
     ctx = RunContext(cfg)
 
-    # static structure checks on the same cell-centered grid the defect
-    # check uses: extracted sigma matches D * (p, 0) and the classical
+    # static structure checks on the same cell-centered grid and density the
+    # defect check uses: extracted sigma matches D * (p, 0) and the classical
     # density rebuilt from the hydrodynamic variables matches D
-    shift = 0.5 * (cfg.q_max - cfg.q_min) / cfg.n_q
-    g = PhaseGrid(
-        cfg.q_min + shift, cfg.q_max + shift,
-        cfg.p_min + shift, cfg.p_max + shift,
-        cfg.n_q, cfg.n_p, FD4,
-    )
-    eps = 4 * g.dq
-    env = np.exp(-((g.Q - 1.0) ** 2 + g.P**2) / (2 * eps**2))
-    D = ScalarField(g, env / np.real(g.integrate_values(env)))
-    theta0 = point_particle_kernel(D, hbar=16.0)
+    g, density = cli._point_particle_setup(cfg)
+    D = density(g.Q, g.P)
+    theta0 = point_particle_kernel(g, density, 16.0)
     state0 = hydro_from_kernel(theta0)
     rho = classical_density_from_hydro(state0)
-    rho_err = float(np.max(np.abs(rho.values - D.values)))
+    rho_err = float(np.max(np.abs(rho.values - D)))
 
     triples = [
         ("sigma_structure", sigma_defect(state0), 1e-4),

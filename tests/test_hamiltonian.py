@@ -141,6 +141,12 @@ class TestFlows:
         assert q0 == pytest.approx(0.9, abs=1e-9)
         assert p0 == pytest.approx(0.1, abs=1e-9)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+    @pytest.mark.parametrize("t", [0.0, 0.5, -0.5])
+    def test_step_must_be_positive_and_finite(self, t, dt):
+        with pytest.raises(ValueError, match="dt"):
+            flow_with_action(scenario_hamiltonian("harmonic"), t, 0.3, 0.1, dt)
+
     def test_flow_is_unimodular(self):
         H = scenario_hamiltonian("quartic")
         (dq_dq, dp_dq), (dq_dp, dp_dp) = central_gradient(

@@ -320,7 +320,7 @@ class TestCommandLine:
         "scenario, check, bc, n, message",
         [("free-kvh", "unitarity", "fd4", 4, "fd4 stencils span 5 nodes; the grid has 4x4"),
          ("point-particle", "sigma-defect", "periodic", 4, "fd4 stencils span 5 nodes"),
-         ("point-particle", "sigma-defect", "periodic", 6, "8-point stencils do not fit on 6 nodes")],
+         ("point-particle", "sigma-defect", "periodic", 6, "9-point stencils do not fit on 6 nodes")],
         ids=["run-grid", "sigma-defect-grid", "kernel-stencil"],
     )
     def test_stencil_wider_than_grid_is_one_line_usage_error(

@@ -99,6 +99,18 @@ class TestPolarEvolution:
         res = one_form_transport_residual(snaps, times, H)
         assert max(res) < 1e-5
 
+    def test_transport_residual_holds_three_one_forms(self, traced_peak):
+        # 201 snapshots on 64², as in the transport check: the working set is
+        # the Lie coefficients, three one-forms and the residual's temporaries
+        # (27 fields), never one one-form per snapshot (424 fields)
+        g = PhaseGrid(-8, 8, -8, 8, 64, 64)
+        S = 0.3 * g.Q - 0.2 * g.P + 0.05 * g.Q * g.P
+        times = [k * 2.5e-4 for k in range(201)]
+        snaps = [PolarPair(ScalarField(g, (1 + t) * S), None) for t in times]
+        H = scenario_hamiltonian("harmonic")
+        peak = traced_peak(lambda: one_form_transport_residual(snaps, times, H))
+        assert peak <= 32 * S.nbytes
+
     def test_transport_needs_three_snapshots(self):
         g, pair = polar_pair(24)
         with pytest.raises(ValueError):

@@ -35,18 +35,10 @@ ALLOWED = {
         "the expected value for vonneumann.hydro_from_kernel",
     "madelung.classical_density_from_hydro":
         "the expected value for classical_density; backs test_08's density_reconstruction",
-    "kvh.hermitian_inner":
-        "tests that apply_prequantum is self-adjoint",
-    "kvh.kvh_energy":
-        "the energy functional the kvh-period workload's trajectories record",
     "qhd.quantum_energy":
         "tests energy conservation of schrodinger_evolve",
-    "vonneumann.VNKernel.hermiticity_residual":
-        "tests that evolve_kernel's output is Hermitian",
     "contact.connection_residual":
         "checks the strict-contact condition eta*A + dphi = A",
-    "hamiltonian.central_gradient":
-        "the partials check of HamiltonianSpec.__post_init__",
 }
 
 

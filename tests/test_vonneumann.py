@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from kvhsim import cli
+from kvhsim.cli import RunConfig, apply_scenario_defaults
 from kvhsim.grid import FD4, PhaseGrid, ScalarField, time_steps
 from kvhsim.hamiltonian import (
     PolynomialHamiltonian,
@@ -26,7 +28,6 @@ from kvhsim.vonneumann import (
     sigma_defect,
     _rk4_stability,
     _spectral_diff_matrix,
-    _upsample2,
 )
 
 SCENARIOS = ("harmonic", "free", "quartic", "pendulum")
@@ -93,11 +94,18 @@ def packet(g):
     return gaussian_wavepacket(g, center=(1.0, 0.0), sigma=(0.7, 0.7))
 
 
-def delta_like(g, hbar=16.0):
-    eps = 4 * g.dq
-    env = np.exp(-((g.Q - 1.0) ** 2 + g.P**2) / (2 * eps**2))
-    D = ScalarField(g, env / np.real(g.integrate_values(env)))
-    return D, point_particle_kernel(D, hbar=hbar)
+def hermiticity_residual(theta):
+    return float(np.max(np.abs(theta.K - theta.K.conj().T)))
+
+
+def point_particle_setup():
+    """The sigma-defect check's grid (centered_grid()) and density D(q, p)."""
+    return cli._point_particle_setup(apply_scenario_defaults(RunConfig(scenario="point-particle")))
+
+
+def delta_like():
+    g, density = point_particle_setup()
+    return g, ScalarField(g, density(g.Q, g.P)), point_particle_kernel(g, density, 16.0)
 
 
 class TestKernelBasics:
@@ -105,7 +113,7 @@ class TestKernelBasics:
         g = coarse_grid()
         theta = kernel_from_wavefunction(packet(g))
         assert theta.trace() == pytest.approx(1.0, abs=1e-12)
-        assert theta.hermiticity_residual() < 1e-14
+        assert hermiticity_residual(theta) < 1e-14
         ev = theta.eigenvalues()
         assert ev[-1] == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(ev[:-1])) < 1e-10
@@ -214,17 +222,6 @@ class TestOperatorDiscretization:
         np.testing.assert_allclose((Dq @ f.reshape(-1)).reshape(12, 12), f_q, atol=1e-9)
         np.testing.assert_allclose((Dp @ f.reshape(-1)).reshape(12, 12), f_p, atol=1e-9)
 
-    def test_upsample_exact_on_polynomials(self):
-        # 8-point midpoint stencils are exact through degree 7
-        g = coarse_grid()
-        x = np.linspace(0, 1, 24)
-        f = (x**5 - x**3)[:, None] * (1 + x**2)[None, :]
-        fine = _upsample2(f)
-        np.testing.assert_allclose(fine[0::2, 0::2], f, atol=1e-14)
-        xm = x + 0.5 * (x[1] - x[0])
-        fm = (xm**5 - xm**3)[:, None] * (1 + x**2)[None, :]
-        np.testing.assert_allclose(fine[1::2, 0::2], fm, atol=1e-11)
-
 
 class TestEvolution:
     def test_rank1_tracks_wavefunction(self):
@@ -246,7 +243,7 @@ class TestEvolution:
         theta_t = evolve_kernel(theta0, H, 0.2, 5e-3)
         assert abs(theta_t.trace() - 1.0) < 1e-12
         assert abs(theta_t.casimir() - theta0.casimir()) < 1e-10
-        assert theta_t.hermiticity_residual() < 1e-12
+        assert hermiticity_residual(theta_t) < 1e-12
 
     @pytest.mark.parametrize(
         "H, bc",
@@ -395,43 +392,44 @@ class TestEvolution:
 class TestPointParticle:
     def test_density_validation(self):
         g = centered_grid()
-        bad = ScalarField(g, -np.ones((24, 24)))
-        with pytest.raises(KernelError):
-            point_particle_kernel(bad)
-        unnorm = ScalarField(g, np.ones((24, 24)))
-        with pytest.raises(KernelError):
-            point_particle_kernel(unnorm)
+        with pytest.raises(KernelError, match="nonnegative"):
+            point_particle_kernel(g, lambda q, p: -np.ones(np.broadcast(q, p).shape), 16.0)
+        with pytest.raises(KernelError, match="integrates to"):
+            point_particle_kernel(g, lambda q, p: np.ones(np.broadcast(q, p).shape), 16.0)
+
+    def test_negative_midpoint_rejected(self):
+        # nonnegative on every node, negative halfway between nodes
+        g, density = point_particle_setup()
+        wiggle = lambda q, p: density(q, p) - np.sin(np.pi * (q - g.q_min) / g.dq) ** 2
+        assert np.min(wiggle(g.Q, g.P)) >= -1e-12
+        with pytest.raises(KernelError, match="midpoints"):
+            point_particle_kernel(g, wiggle, 16.0)
 
     def test_kernel_structure(self):
-        g = centered_grid()
-        D, theta = delta_like(g)
-        assert theta.hermiticity_residual() < 1e-13
+        _, D, theta = delta_like()
+        assert hermiticity_residual(theta) < 1e-13
         state = hydro_from_kernel(theta)
         # kernel diagonal reproduces the target density exactly
         np.testing.assert_allclose(state.D.values, D.values, atol=1e-13)
         assert sigma_defect(state) < 1e-5
 
     def test_midpoint_gather_on_a_rectangular_grid(self):
-        # entry (i, j) is the upsampled density at the midpoint of nodes i and
-        # j times the closed-form phase; n_q != n_p catches a swapped axis
+        # entry (i, j) is the density at the midpoint of nodes i and j times
+        # the closed-form phase; n_q != n_p catches a swapped axis
         g = PhaseGrid(-3, 4, -2, 2.5, 9, 12, FD4)
-        env = np.exp(-((g.Q - 0.7) ** 2) - 2 * (g.P - 0.1) ** 2)
-        D = ScalarField(g, env / np.real(g.integrate_values(env)))
-        fine = _upsample2(D.values)
-        nodes = [(iq, ip) for iq in range(9) for ip in range(12)]
+        env = lambda q, p: np.exp(-((q - 0.7) ** 2) - 2 * (p - 0.1) ** 2)
+        total = np.real(g.integrate_values(env(g.Q, g.P)))
+        nodes = [(g.q[iq], g.p[ip]) for iq in range(9) for ip in range(12)]
         K = np.array([
-            [fine[iq + jq, ip + jp]
-             * np.exp(1j / 6.0 * (g.P[iq, ip] + g.P[jq, jp]) * (g.Q[iq, ip] - g.Q[jq, jp]))
-             for jq, jp in nodes]
-            for iq, ip in nodes
+            [env((qi + qj) / 2, (pi + pj) / 2) / total * np.exp(1j / 6.0 * (pi + pj) * (qi - qj))
+             for qj, pj in nodes]
+            for qi, pi in nodes
         ])
-        np.testing.assert_allclose(
-            point_particle_kernel(D, hbar=3.0).K, 0.5 * (K + K.conj().T), rtol=1e-13, atol=1e-15
-        )
+        theta = point_particle_kernel(g, lambda q, p: env(q, p) / total, 3.0)
+        np.testing.assert_allclose(theta.K, K, rtol=1e-13, atol=1e-15)
 
     def test_centroid(self):
-        g = centered_grid()
-        D, theta = delta_like(g)
+        g, _, theta = delta_like()
         qc, pc = density_centroid(hydro_from_kernel(theta).D)
         # the truncated discrete Gaussian sits a small fraction of a cell
         # off its nominal center
@@ -439,16 +437,14 @@ class TestPointParticle:
         assert pc == pytest.approx(0.0, abs=0.25 * g.dp)
 
     def test_sigma_defect_zero_for_exact_structure(self):
-        g = centered_grid()
-        D, _ = delta_like(g)
+        g, D, _ = delta_like()
         from kvhsim.hamiltonian import OneForm
 
         sigma = OneForm(ScalarField(g, g.P * D.values), ScalarField(g, 0 * g.P))
         assert sigma_defect(HydroState(sigma, D)) == 0.0
 
     def test_quarter_turn_preserves_structure(self):
-        g = centered_grid()
-        D, theta0 = delta_like(g)
+        _, _, theta0 = delta_like()
         H = scenario_hamiltonian("harmonic")
         theta_t = evolve_kernel(theta0, H, np.pi / 2, 5e-3, method="characteristics")
         d0 = sigma_defect(hydro_from_kernel(theta0))

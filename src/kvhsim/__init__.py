@@ -7,7 +7,6 @@ from .grid import (
     ScalarField,
     divergence,
     integrate,
-    poisson_bracket,
 )
 from .hamiltonian import (
     HamiltonianSpec,

@@ -23,34 +23,10 @@ forms (test_composition_at_other_angles).
 
 from __future__ import annotations
 
-import numpy as np
-
-from .grid import PhaseGrid, ScalarField, l2_norm
-from .hamiltonian import Characteristics, HamiltonianSpec, central_gradient, flow_with_action
+from .grid import ScalarField, l2_norm
+# unused here, but perfbench's tracer test reads contact.flow_with_action
+from .hamiltonian import Characteristics, HamiltonianSpec, flow_with_action  # noqa: F401
 from .kvh import WaveFunction, apply_prequantum, characteristics_oracle
-
-
-def connection_residual(G: HamiltonianSpec, t: float, grid: PhaseGrid, dt: float) -> float:
-    """L2 residual of the membership condition eta*A + dphi = A for the lift
-    of G's time-t flow eta, flowed with step dt from the nodes of `grid`."""
-    _, pc, _ = flow_with_action(G, t, grid.Q, grid.P, dt)
-
-    def eta_q_and_action(q, p):
-        qf, _, action = flow_with_action(G, t, q, p, dt)
-        return qf, action
-
-    # one flow per displaced node set serves both off-grid central differences
-    (deta_q, daction_q), (deta_p, daction_p) = central_gradient(eta_q_and_action, grid.Q, grid.P)
-    # pullback (eta*A)_i = p(eta(z)) * d eta_q / d z_i; phi = -action
-    res_q = pc * deta_q - daction_q - grid.P
-    res_p = pc * deta_p - daction_p
-    return float(
-        np.sqrt(
-            np.real(
-                (np.abs(res_q) ** 2 + np.abs(res_p) ** 2).sum() * grid.dq * grid.dp
-            )
-        )
-    )
 
 
 def apply_van_hove(ch: Characteristics, psi: WaveFunction) -> WaveFunction:

@@ -146,6 +146,9 @@ class PhaseGrid:
     def __post_init__(self):
         if self.n_q <= 0 or self.n_p <= 0:
             raise GridError("sample counts must be positive")
+        bounds = (self.q_min, self.q_max, self.p_min, self.p_max)
+        if not np.all(np.isfinite(bounds)):
+            raise GridError(f"domain bounds must be finite, got (q_min, q_max, p_min, p_max) = {bounds}")
         if self.q_max <= self.q_min or self.p_max <= self.p_min:
             raise GridError("degenerate domain bounds")
         if self.bc not in (PERIODIC, FD4):
@@ -274,15 +277,6 @@ def _check_same_grid(f: ScalarField, g: ScalarField) -> None:
 def _check_finite(f: ScalarField) -> None:
     if not np.all(np.isfinite(f.values)):
         raise NonFiniteFieldError("field contains non-finite values")
-
-
-def poisson_bracket(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Canonical bracket {f,g} = dq(f) dp(g) - dp(f) dq(g)."""
-    _check_same_grid(f, g)
-    _check_finite(f)
-    _check_finite(g)
-    grid = f.grid
-    return ScalarField(grid, grid.bracket(grid.ddq(f.values), grid.ddp(f.values), g.values))
 
 
 def integrate(f: ScalarField) -> complex | float:

@@ -124,6 +124,9 @@ class PolynomialHamiltonian(HamiltonianSpec):
 
     def __init__(self, name: str, coeffs: dict):
         coeffs = {tuple(k): float(v) for k, v in coeffs.items() if v != 0.0}
+        for (i, j), c in coeffs.items():
+            if not np.isfinite(c):
+                raise HamiltonianError(f"coefficient of q^{i} p^{j} must be finite, got {c}")
         object.__setattr__(self, "coeffs", coeffs)  # base dataclass is frozen
         dq = _poly_diff(coeffs, "q")
         dp = _poly_diff(coeffs, "p")

@@ -1,7 +1,7 @@
 """Hydrodynamic (Madelung) layer on phase space.
 
 The momentum map of a wavefunction to hydrodynamic variables (sigma, D),
-the momentum-map expressions for the classical density, and the polar
+the momentum map of (sigma, D) to the classical density, and the polar
 variables (S, D): their evolution and the residual of the transport law
 of the one-form dS - A by the Lie derivative along X_H.
 """
@@ -18,7 +18,6 @@ from .grid import (
     PhaseGrid,
     ScalarField,
     divergence,
-    poisson_bracket,
     rk4_steps,
 )
 from .hamiltonian import HamiltonianSpec, OneForm, coefficient_fields, self_broadcast
@@ -60,22 +59,10 @@ def hydro_from_wavefunction(psi: WaveFunction) -> HydroState:
     )
 
 
-def classical_density(psi: WaveFunction) -> ScalarField:
-    """Momentum map to densities: |Ψ|² + ∂_p(p|Ψ|²) + iħ{Ψ, conj Ψ}.
-
-    The middle term is -div(JA |Ψ|²) for the canonical one-form A = p dq,
-    whose image under J is (0, -p). The result is real up to round-off.
-    """
-    g = psi.grid
-    abssq = np.abs(psi.field.values) ** 2
-    bracket = poisson_bracket(psi.field, psi.field.conj())
-    rho = abssq + g.ddp(g.P * abssq) + 1j * psi.hbar * bracket.values
-    return ScalarField(g, np.real(rho))
-
-
-def classical_density_from_hydro(h: HydroState) -> ScalarField:
-    """Alternative density representation: D + ∂_q σ_p + ∂_p(pD - σ_q),
-    which is D + div(Jσ - JA D)."""
+def classical_density(h: HydroState) -> ScalarField:
+    """Momentum map to densities: D + ∂_q σ_p + ∂_p(pD - σ_q), which is
+    D + div(Jσ - JA D) for A = p dq, JA = (0, -p). The one formula for the
+    (σ, D) of wavefunctions and of kernels alike."""
     g = h.grid
     v_p = ScalarField(g, g.P * h.D.values - h.sigma.a_q.values)
     return ScalarField(g, h.D.values + divergence(h.sigma.a_p, v_p).values)

@@ -131,14 +131,6 @@ def quantum_madelung_momap(psi: QWaveFunction):
     return mu, D
 
 
-def quantum_energy(psi: QWaveFunction, V: np.ndarray) -> float:
-    g = psi.grid
-    dpsi = g.ddx(psi.values)
-    kinetic = (psi.hbar**2 / 2) * np.abs(dpsi) ** 2
-    potential = V * np.abs(psi.values) ** 2
-    return float(np.real(g.integrate(kinetic + potential)))
-
-
 # interior snapshots per band of the residual series: a quarter period at
 # dt 2.5e-3 stacked whole held 17 MB of temporaries in the Bohm residual
 _SERIES_BAND = 64

@@ -359,10 +359,9 @@ def point_particle_kernel(grid: PhaseGrid, density, hbar: float) -> VNKernel:
     q = g.Q.reshape(-1)
     p = g.P.reshape(-1)
     phase = np.exp((1j / (2 * hbar)) * (p[:, None] + p[None, :]) * (q[:, None] - q[None, :]))
-    K = Dmid * phase
-    # keep Hermiticity exact whatever exp rounds on the two sides
-    K = 0.5 * (K + K.conj().T)
-    return VNKernel(g, K, hbar)
+    # exactly Hermitian: Dmid is symmetric, the phase argument of (j, i) is
+    # the exact negative of that of (i, j), and exp(-ix) rounds to conj(exp(ix))
+    return VNKernel(g, Dmid * phase, hbar)
 
 
 def density_centroid(D: ScalarField):

@@ -15,7 +15,7 @@ import pytest
 from kvhsim import cli
 from kvhsim.cli import RunConfig, RunContext, apply_scenario_defaults
 from kvhsim.hamiltonian import SCENARIO_NAMES
-from kvhsim.madelung import classical_density_from_hydro
+from kvhsim.madelung import classical_density
 from kvhsim.vonneumann import (
     hydro_from_kernel,
     point_particle_kernel,
@@ -113,7 +113,7 @@ def test_08_point_particle_structure_and_tracking():
     D = density(g.Q, g.P)
     theta0 = point_particle_kernel(g, density, 16.0)
     state0 = hydro_from_kernel(theta0)
-    rho = classical_density_from_hydro(state0)
+    rho = classical_density(state0)
     rho_err = float(np.max(np.abs(rho.values - D)))
 
     triples = [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvhsim import cli, contact, hamiltonian
-from kvhsim.contact import apply_van_hove, connection_residual, equivariance_residual
+from kvhsim.contact import apply_van_hove, equivariance_residual
 from kvhsim.grid import PhaseGrid, ScalarField, l2_norm
 from kvhsim.hamiltonian import (
     PolynomialHamiltonian,
@@ -15,6 +15,7 @@ from kvhsim.hamiltonian import (
     scenario_hamiltonian,
 )
 from kvhsim.kvh import characteristics_oracle, gaussian_wavepacket
+from reference import connection_residual
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from kvhsim.grid import (
     interpolate,
     l1_norm,
     l2_norm,
-    poisson_bracket,
     rk4_steps,
     time_steps,
 )
@@ -51,6 +50,8 @@ class TestConstruction:
             dict(n_p=-1),
             dict(q_max=-9.0),
             dict(bc="dirichlet"),
+            dict(q_min=np.nan),
+            dict(p_max=np.inf),
         ],
     )
     def test_invalid_construction(self, kwargs):
@@ -162,14 +163,14 @@ class TestDerivatives:
         bad = np.zeros((8, 8))
         bad[3, 3] = np.nan
         with pytest.raises(NonFiniteFieldError):
-            poisson_bracket(ScalarField(g, bad), ScalarField(g, np.zeros((8, 8))))
+            divergence(ScalarField(g, bad), ScalarField(g, np.zeros((8, 8))))
 
     def test_nonfinite_second_argument_rejected(self):
         g = make_grid(8)
         bad = np.zeros((8, 8))
         bad[2, 5] = np.inf
         with pytest.raises(NonFiniteFieldError):
-            poisson_bracket(ScalarField(g, np.zeros((8, 8))), ScalarField(g, bad))
+            divergence(ScalarField(g, np.zeros((8, 8))), ScalarField(g, bad))
 
 
 class TestSpectralDerivative:
@@ -297,36 +298,36 @@ class TestInterpolation:
 
 
 class TestBracketAndMeasure:
+    # PhaseGrid.bracket(a, b, values) is {F, f} for a = ∂F/∂q, b = ∂F/∂p
+
     def test_bracket_canonical_pair(self):
         # {sin q, sin p} = cos q cos p
         g = make_grid(48)
-        f = ScalarField(g, np.sin(g.Q))
-        h = ScalarField(g, np.sin(g.P))
         np.testing.assert_allclose(
-            poisson_bracket(f, h).values, np.cos(g.Q) * np.cos(g.P), atol=1e-11
+            g.bracket(np.cos(g.Q), 0 * g.P, np.sin(g.P)), np.cos(g.Q) * np.cos(g.P), atol=1e-11
         )
 
     def test_brackets_with_coordinates_are_the_partials(self):
-        # {q, f} = df/dp and {p, f} = -df/dq; FD4 is exact on the linear q and p
+        # {q, f} = df/dp and {p, f} = -df/dq, exactly: the partials of q and p are 0 and 1
         g = PhaseGrid(-2, 2, -3, 3, 16, 12, FD4)
-        f = ScalarField(g, np.cos(g.Q + 2 * g.P))
-        q, p = ScalarField(g, g.Q), ScalarField(g, g.P)
-        np.testing.assert_allclose(poisson_bracket(q, f).values, g.ddp(f.values), atol=1e-12)
-        np.testing.assert_allclose(poisson_bracket(p, f).values, -g.ddq(f.values), atol=1e-12)
+        f = np.cos(g.Q + 2 * g.P)
+        one, zero = np.ones_like(f), np.zeros_like(f)
+        np.testing.assert_array_equal(g.bracket(one, zero, f), g.ddp(f))
+        np.testing.assert_array_equal(g.bracket(zero, one, f), -g.ddq(f))
 
     def test_bracket_antisymmetry(self):
+        # {f, h} = -{h, f}, each bracket from the closed-form partials of its first entry
         g = make_grid(32)
-        f = ScalarField(g, np.sin(g.Q) * np.cos(g.P))
-        h = ScalarField(g, np.cos(2 * g.Q + g.P))
-        fh = poisson_bracket(f, h).values
-        hf = poisson_bracket(h, f).values
+        f = np.sin(g.Q) * np.cos(g.P)
+        h = np.cos(2 * g.Q + g.P)
+        fh = g.bracket(np.cos(g.Q) * np.cos(g.P), -np.sin(g.Q) * np.sin(g.P), h)
+        hf = g.bracket(-2 * np.sin(2 * g.Q + g.P), -np.sin(2 * g.Q + g.P), f)
         np.testing.assert_allclose(fh, -hf, atol=1e-12)
 
     def test_bracket_with_constant_vanishes(self):
         g = make_grid(16)
-        f = ScalarField(g, np.sin(g.Q))
-        c = ScalarField(g, np.full((16, 16), 2.5))
-        assert np.max(np.abs(poisson_bracket(f, c).values)) < 1e-12
+        c = np.full((16, 16), 2.5)
+        assert np.max(np.abs(g.bracket(np.cos(g.Q), 0 * g.P, c))) < 1e-12
 
     @pytest.mark.parametrize("bc", [PERIODIC, FD4])
     def test_in_place_bracket_matches_the_formula(self, bc):
@@ -343,7 +344,7 @@ class TestBracketAndMeasure:
         f = ScalarField(make_grid(16), np.zeros((16, 16)))
         h = ScalarField(make_grid(16, lo=0.0, hi=1.0), np.zeros((16, 16)))
         with pytest.raises(GridMismatchError):
-            poisson_bracket(f, h)
+            divergence(f, h)
 
     def test_quadrature_and_norms(self):
         g = PhaseGrid(-8, 8, -8, 8, 128, 128)

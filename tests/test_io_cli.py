@@ -160,6 +160,10 @@ class TestConfigParsing:
             cli.RunConfig(checks=("bogus",))
         with pytest.raises(cli.ConfigError):
             cli.RunConfig(tolerances={"bogus": 1.0})
+        with pytest.raises(cli.ConfigError, match="NaN"):
+            cli.RunConfig(tolerances={"norm_drift": float("nan")})
+        # a zero tolerance is legal: the run then fails every check it names
+        assert cli.RunConfig(tolerances={"norm_drift": 0.0}).tol("norm_drift") == 0.0
 
     def test_scenario_defaults_respect_explicit_fields(self):
         cfg = cli.apply_scenario_defaults(cli.RunConfig(scenario="quartic-kvh"))
@@ -225,33 +229,44 @@ class TestCommandLine:
         assert "overall = fail" in (out / "report").read_text()
 
     @pytest.mark.parametrize(
-        "run_lines, grid_lines, flags",
+        "run_lines, grid_lines, flags, message",
         [
-            ("bc = bogus", "", ()),
-            ("hamiltonian = nosuch", "", ()),
-            ("", "q_min = 2\nq_max = -2", ()),
-            ("t_finl = 0.01", "", ()),
-            ("", "n_qq = 16", ()),
-            ("", "[grdi]\nn_q = 16", ()),
-            ("hbar = nan", "", ()),
-            ("", "", ("--t-final", "nan")),
-            ("", "", ("--t-final", "inf")),
-            ("", "", ("--dt", "nan")),
-            ("", "", ("--dt", "inf")),
+            ("bc = bogus", "", (), ""),
+            ("hamiltonian = nosuch", "", (), ""),
+            ("", "q_min = 2\nq_max = -2", (), ""),
+            ("t_finl = 0.01", "", (), ""),
+            ("", "n_qq = 16", (), ""),
+            ("", "[grdi]\nn_q = 16", (), ""),
+            ("hbar = nan", "", (), ""),
+            ("", "", ("--t-final", "nan"), ""),
+            ("", "", ("--t-final", "inf"), ""),
+            ("", "", ("--dt", "nan"), ""),
+            ("", "", ("--dt", "inf"), ""),
+            ("", "q_min = nan", (), "domain bounds must be finite"),
+            ("", "q_max = inf", (), "domain bounds must be finite"),
+            ("", "[hamiltonian.coeffs]\n2_0 = nan", (), "coefficient of q^2 p^0 must be finite"),
+            ("", "[hamiltonian.coeffs]\n2 = 1.0", (), "bad key '2' in [hamiltonian.coeffs]"),
+            ("", "[tolerances]\nnorm_drift = nan", (), "tolerance norm_drift is NaN"),
         ],
         ids=["bc", "hamiltonian", "bounds", "run-key", "grid-key", "section",
-             "hbar-nan", "t-final-nan", "t-final-inf", "dt-nan", "dt-inf"],
+             "hbar-nan", "t-final-nan", "t-final-inf", "dt-nan", "dt-inf",
+             "q-min-nan", "q-max-inf", "coeff-nan", "coeff-key", "tolerance-nan"],
     )
-    def test_late_config_error_is_one_line_usage_error(self, tmp_path, capsys, run_lines, grid_lines, flags):
+    def test_late_config_error_is_one_line_usage_error(
+        self, tmp_path, capsys, run_lines, grid_lines, flags, message
+    ):
         ini = tmp_path / "run.ini"
         ini.write_text(
             f"[run]\nscenario = free-kvh\nchecks = unitarity\n{run_lines}\n[grid]\n{grid_lines}\n"
         )
         out = tmp_path / "o"
-        rc = cli.main(["run", "--config", str(ini), "--outdir", str(out), *flags])
+        with warnings.catch_warnings():
+            # a warning would print a second line to stderr
+            warnings.simplefilter("error")
+            rc = cli.main(["run", "--config", str(ini), "--outdir", str(out), *flags])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: ")
+        assert err.startswith(f"configuration error: {message}")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 

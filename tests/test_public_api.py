@@ -6,8 +6,9 @@ of `src/kvhsim/*.py` and every public method of those classes. Each must be
 referenced by name somewhere in `src/kvhsim/*.py` or `perfbench/*.py`,
 outside its own definition: as a name, an attribute, or a string such as
 the bindings `perfbench/tracer.py` wraps. A re-export in `__init__.py` is
-not a use. The only exceptions are the references in ALLOWED, each of
-which a test compares a function of a CLI path against.
+not a use. ALLOWED maps a name exempt from the guard to its reason; it is
+empty, as the references the tests compare against live in
+`tests/reference.py`.
 
 The knob guard walks every defaulted parameter of a public function, of a
 public method and of an explicit `__init__` of a public class. Some call in
@@ -28,18 +29,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kvhsim"
 
-ALLOWED = {
-    "liouville.evolve_spectral":
-        "certifies the pushforward oracle in test_pushforward_vs_spectral",
-    "madelung.hydro_from_wavefunction":
-        "the expected value for vonneumann.hydro_from_kernel",
-    "madelung.classical_density_from_hydro":
-        "the expected value for classical_density; backs test_08's density_reconstruction",
-    "qhd.quantum_energy":
-        "tests energy conservation of schrodinger_evolve",
-    "contact.connection_residual":
-        "checks the strict-contact condition eta*A + dphi = A",
-}
+ALLOWED = {}
 
 
 def _public(name: str) -> bool:

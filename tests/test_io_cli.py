@@ -247,10 +247,15 @@ class TestCommandLine:
             ("", "[hamiltonian.coeffs]\n2_0 = nan", (), "coefficient of q^2 p^0 must be finite"),
             ("", "[hamiltonian.coeffs]\n2 = 1.0", (), "bad key '2' in [hamiltonian.coeffs]"),
             ("", "[tolerances]\nnorm_drift = nan", (), "tolerance norm_drift is NaN"),
+            ("", "[tolerances]\nnorm_drift = inf", (), "tolerance norm_drift is inf"),
+            ("", "[tolerances]\nnorm_drift = -1e-3", (), "tolerance norm_drift = -0.001 is negative"),
+            ("", "[tolerances]\nnorm_drift = -inf", (), "tolerance norm_drift = -inf is negative"),
+            ("stride = -1", "", (), "stride must be nonnegative"),
         ],
         ids=["bc", "hamiltonian", "bounds", "run-key", "grid-key", "section",
              "hbar-nan", "t-final-nan", "t-final-inf", "dt-nan", "dt-inf",
-             "q-min-nan", "q-max-inf", "coeff-nan", "coeff-key", "tolerance-nan"],
+             "q-min-nan", "q-max-inf", "coeff-nan", "coeff-key", "tolerance-nan",
+             "tolerance-inf", "tolerance-negative", "tolerance-minus-inf", "stride-negative"],
     )
     def test_late_config_error_is_one_line_usage_error(
         self, tmp_path, capsys, run_lines, grid_lines, flags, message

@@ -5,7 +5,7 @@ import pytest
 
 from kvhsim import cli
 from kvhsim.cli import RunConfig, apply_scenario_defaults
-from kvhsim.grid import FD4, PhaseGrid, ScalarField, time_steps
+from kvhsim.grid import FD4, PERIODIC, PhaseGrid, ScalarField, derivative_matrix, time_steps
 from kvhsim.hamiltonian import (
     PolynomialHamiltonian,
     backward_characteristics,
@@ -27,7 +27,6 @@ from kvhsim.vonneumann import (
     prequantum_matrix,
     sigma_defect,
     _rk4_stability,
-    _spectral_diff_matrix,
 )
 
 SCENARIOS = ("harmonic", "free", "quartic", "pendulum")
@@ -178,8 +177,20 @@ class TestOperatorDiscretization:
 
     @pytest.mark.parametrize("n", [10, 25, 32])
     def test_spectral_diff_matrix_exactly_antisymmetric(self, n):
-        D = _spectral_diff_matrix(n, 8.0 / n)
+        D = derivative_matrix(n, 8.0 / n, PERIODIC)
         assert np.array_equal(D, -D.T)
+
+    @pytest.mark.parametrize("bc", [PERIODIC, FD4])
+    def test_derivative_matrices_are_krons_of_the_grid_matrices(self, bc):
+        # the kernel layer differentiates by the grid's own 1-D operators:
+        # each factor, read back out of its kron, is the grid's matrix exactly
+        g = PhaseGrid(-4, 4, -3, 3, 9, 12, bc)
+        Dq, Dp = derivative_matrices(g)
+        d1q, d1p = derivative_matrix(9, g.dq, bc), derivative_matrix(12, g.dp, bc)
+        assert np.array_equal(Dq[:: g.n_p, :: g.n_p], d1q)
+        assert np.array_equal(Dp[: g.n_p, : g.n_p], d1p)
+        assert np.array_equal(Dq, np.kron(d1q, np.eye(g.n_p)))
+        assert np.array_equal(Dp, np.kron(np.eye(g.n_q), d1p))
 
     @pytest.mark.parametrize("shape", [(10, 10), (25, 25), (9, 12)])
     @pytest.mark.parametrize("name", SCENARIOS)

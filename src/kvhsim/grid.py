@@ -55,53 +55,13 @@ def spectral_ik(n: int, spacing: float) -> np.ndarray:
 
 
 # An axis of at most this many nodes is differentiated by one BLAS product
-# with its dense 1-D matrix; a longer one by `_spectral_1d` or `_fd4_1d`,
-# whose per-call Python overhead dominates on short axes. At 64 nodes a real
+# with `derivative_matrix`; a longer one by `_spectral_1d` or `_fd4_1d`, whose
+# per-call Python overhead dominates on short axes. At 64 nodes a real
 # product takes a sixth or less of an FFT or stencil call and a complex one
 # a third to two thirds; at 128 the complex product along p is slower than
-# the transform.
+# the transform, and a 128² fd4 unitarity run is slower on the product than
+# on the stencil.
 _MATRIX_AXIS_MAX = 64
-
-
-@lru_cache(maxsize=16)
-def _spectral_matrix(n: int, spacing: float) -> np.ndarray:
-    """The spectral derivative on n periodic nodes as a dense matrix."""
-    D = np.real(np.fft.ifft(spectral_ik(n, spacing)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
-    # exactly antisymmetric, so the prequantum matrix of a separable H is
-    # exactly Hermitian (the FFT leaves ~1e-15 of asymmetry)
-    D = 0.5 * (D - D.T)
-    D.flags.writeable = False
-    return D
-
-
-@lru_cache(maxsize=16)
-def _fd4_stencil(n: int) -> np.ndarray:
-    """12 h times the FD4 derivative on n >= 5 nodes: the integer weights of
-    `_fd4_1d`, centred in the interior and one-sided in two rows at each edge."""
-    S = np.zeros((n, n))
-    rows = np.arange(2, n - 2)
-    for offset, weight in zip(range(-2, 3), (1, -8, 0, 8, -1)):
-        S[rows, rows + offset] = weight
-    S[0, :5] = (-25, 48, -36, 16, -3)
-    S[1, :5] = (-3, -10, 18, -6, 1)
-    S[-2, -5:] = (-1, 6, -18, 10, 3)
-    S[-1, -5:] = (3, -16, 36, -48, 25)
-    S.flags.writeable = False
-    return S
-
-
-def derivative_matrix(n: int, spacing: float, bc: str) -> np.ndarray:
-    """The 1-D first derivative on n nodes of this spacing as a dense matrix.
-
-    On periodic grids it is the exactly antisymmetric spectral matrix
-    (cached and read-only), on fd4 grids the FD4 stencil divided by 12 h.
-    `PhaseGrid.ddq` and `ddp` multiply an axis of at most 64 nodes by the
-    same matrix (the fd4 one as its integer weights, dividing the product
-    by 12 h).
-    """
-    if bc == PERIODIC:
-        return _spectral_matrix(n, spacing)
-    return _fd4_stencil(n) / (12 * spacing)
 
 
 def _matrix_ddq(m: np.ndarray, values: np.ndarray, out=None) -> np.ndarray:
@@ -192,6 +152,25 @@ def _spectral_1d(values: np.ndarray, ik: np.ndarray, axis: int, out=None) -> np.
     return np.fft.ifft(out, axis=axis, out=out)
 
 
+@lru_cache(maxsize=16)
+def derivative_matrix(n: int, spacing: float, bc: str) -> np.ndarray:
+    """The 1-D first derivative on n nodes of this spacing as a dense matrix
+    (cached, read-only): the rule of `bc` applied to the identity, the
+    spectral one antisymmetrised. `PhaseGrid.ddq`/`ddp` multiply an axis
+    of at most 64 nodes by it."""
+    if bc == PERIODIC:
+        D = np.real(np.fft.ifft(spectral_ik(n, spacing)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0))
+        # exactly antisymmetric, so the prequantum matrix of a separable H is
+        # exactly Hermitian (the FFT leaves ~1e-15 of asymmetry)
+        D = 0.5 * (D - D.T)
+    elif bc == FD4:
+        D = _fd4_1d(np.eye(n), spacing, 0)
+    else:
+        raise GridError(f"unknown boundary mode {bc!r}")
+    D.flags.writeable = False
+    return D
+
+
 @dataclass(eq=False)
 class PhaseGrid:
     """Discretization of a truncated phase-space box.
@@ -262,18 +241,13 @@ class PhaseGrid:
     def _ikp(self) -> np.ndarray:
         return spectral_ik(self.n_p, self.dp)[None, :]
 
-    def _axis_matrix(self, n: int, spacing: float) -> np.ndarray:
-        """What ddq/ddp multiply an axis of at most _MATRIX_AXIS_MAX nodes by:
-        the spectral matrix, or the FD4 integer weights (12 h times the matrix)."""
-        return _spectral_matrix(n, spacing) if self.bc == PERIODIC else _fd4_stencil(n)
-
     @cached_property
     def _q_matrix(self) -> np.ndarray:
-        return self._axis_matrix(self.n_q, self.dq)
+        return derivative_matrix(self.n_q, self.dq, self.bc)
 
     @cached_property
     def _p_matrix_t(self) -> np.ndarray:
-        return self._axis_matrix(self.n_p, self.dp).T
+        return derivative_matrix(self.n_p, self.dp, self.bc).T
 
     @cached_property
     def _p_matrix_t_complex(self) -> np.ndarray:
@@ -281,18 +255,12 @@ class PhaseGrid:
         # otherwise cast the real one on every call
         return self._p_matrix_t.astype(complex)
 
-    def _fd4_scale(self, out: np.ndarray, spacing: float) -> np.ndarray:
-        """The product of the FD4 integer weights divided by 12 h; a spectral one as it is."""
-        if self.bc == FD4:
-            np.divide(out, 12 * spacing, out=out)
-        return out
-
     # -- array-level operations ------------------------------------------
 
     def ddq(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """d/dq of values; written into `out` (not `values` itself) when given."""
         if self.n_q <= _MATRIX_AXIS_MAX:
-            return self._fd4_scale(_matrix_ddq(self._q_matrix, values, out), self.dq)
+            return _matrix_ddq(self._q_matrix, values, out)
         if self.bc == PERIODIC:
             return _spectral_1d(values, self._ikq, 0, out)
         return _fd4_1d(values, self.dq, 0, out)
@@ -301,7 +269,7 @@ class PhaseGrid:
         """d/dp of values; written into `out` (not `values` itself) when given."""
         if self.n_p <= _MATRIX_AXIS_MAX:
             m = self._p_matrix_t_complex if values.dtype == complex else self._p_matrix_t
-            return self._fd4_scale(np.matmul(values, m, out=out), self.dp)
+            return np.matmul(values, m, out=out)
         if self.bc == PERIODIC:
             return _spectral_1d(values, self._ikp, 1, out)
         return _fd4_1d(values, self.dp, 1, out)

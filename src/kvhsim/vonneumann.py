@@ -81,7 +81,7 @@ def _local_stencil_matrix(n: int, npts: int) -> np.ndarray:
 
     Each window is centred on i where it fits and one-sided at the edges.
     Only the wide stencils of `hydro_from_kernel` come from here; the
-    5-point ones are the grid's own (`grid.derivative_matrix`).
+    5-point ones are the grid's FD4 stencil (`grid.derivative_matrix`).
     """
     if n < npts:
         raise KernelError(f"{npts}-point stencils do not fit on {n} nodes per axis")
@@ -96,10 +96,10 @@ def _local_stencil_matrix(n: int, npts: int) -> np.ndarray:
 
 
 def derivative_matrices(grid: PhaseGrid, npts: int = 5):
-    """(D_q, D_p) acting on flattened fields: krons of the grid's 1-D
-    derivative matrices, or on fd4 grids of npts-point stencils when npts
-    is not 5. Stencils wider than 5 points serve where the truncation error
-    must sit below a tight tolerance (kernel hydrodynamic extraction)."""
+    """(D_q, D_p) acting on flattened fields: krons of the 1-D matrices of
+    `PhaseGrid.ddq`/`ddp` (`grid.derivative_matrix`), or on fd4 grids of
+    npts-point stencils when npts is not 5. Wider stencils serve where the
+    truncation error must sit below a tight tolerance (kernel extraction)."""
 
     def factor(n, spacing):
         if npts == 5 or grid.bc == PERIODIC:

@@ -17,7 +17,6 @@ from kvhsim.grid import (
     PhaseGrid,
     ScalarField,
     _fd4_1d,
-    _fd4_stencil,
     _spectral_1d,
     derivative_matrix,
     divergence,
@@ -203,34 +202,40 @@ class TestMatrixAxes:
     by one product with its 1-D matrix; a longer one by the transform or
     the stencil."""
 
-    @pytest.mark.parametrize("n", [5, 6, 9, 64])
-    def test_fd4_stencil_is_the_literal_integer_weights(self, n):
-        assert np.array_equal(_fd4_stencil(n), literal_fd4_weights(n))
+    @pytest.mark.parametrize("n", [5, 6, 9, 24, 64, 65, 192])
+    @pytest.mark.parametrize(
+        "h", [0.37, 0.25, 1 / 3, 2 * np.pi / 64, 12 / 64],
+        ids=["0.37", "0.25", "1over3", "2pi_over_64", "12_over_64"],
+    )
+    def test_fd4_derivative_matrix_is_the_weights_over_12h(self, n, h):
+        # the stencil applied to the identity, byte for byte, signed zeros too
+        assert derivative_matrix(n, h, FD4).tobytes() == (literal_fd4_weights(n) / (12 * h)).tobytes()
 
-    @pytest.mark.parametrize("n", [5, 24, 64])
-    def test_fd4_derivative_matrix_is_the_weights_over_12h(self, n):
-        h = 0.37
-        assert np.array_equal(derivative_matrix(n, h, FD4), literal_fd4_weights(n) / (12 * h))
+    @pytest.mark.parametrize("bc", [PERIODIC, FD4])
+    def test_derivative_matrix_is_cached_and_read_only(self, bc):
+        m = derivative_matrix(9, 0.25, bc)
+        assert derivative_matrix(9, 0.25, bc) is m
+        assert derivative_matrix(9, 0.5, bc) is not m
+        assert not m.flags.writeable
+
+    def test_derivative_matrix_rejects_an_unknown_bc(self):
+        with pytest.raises(GridError, match="dirichlet"):
+            derivative_matrix(8, 0.1, "dirichlet")
 
     @pytest.mark.parametrize("shape", [(64, 64), (24, 20), (7, 9)])
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("bc", [PERIODIC, FD4])
     def test_derivative_is_the_matrix_product_byte_for_byte(self, bc, dtype, shape):
         # along q a complex field is multiplied as its real view; along p by
-        # the complex transposed matrix; FD4 products are divided by 12 h
+        # the complex transposed matrix
         g = PhaseGrid(-2, 2, -3, 3, *shape, bc)
         values = random_field(shape, dtype, 5)
-        if bc == FD4:
-            mq, mp = literal_fd4_weights(g.n_q), literal_fd4_weights(g.n_p)
-        else:
-            mq, mp = derivative_matrix(g.n_q, g.dq, bc), derivative_matrix(g.n_p, g.dp, bc)
+        mq, mp = derivative_matrix(g.n_q, g.dq, bc), derivative_matrix(g.n_p, g.dp, bc)
         if dtype is complex:
             eq = (mq @ values.view(float)).view(complex)
             ep = values @ mp.T.astype(complex)
         else:
             eq, ep = mq @ values, values @ mp.T
-        if bc == FD4:
-            eq, ep = eq / (12 * g.dq), ep / (12 * g.dp)
         for deriv, expected in ((g.ddq, eq), (g.ddp, ep)):
             assert deriv(values).tobytes() == expected.tobytes()
             out = np.empty_like(values)

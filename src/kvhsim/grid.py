@@ -92,21 +92,22 @@ def _fd4_scratch(shape: tuple, dtype: np.dtype, axis: int):
     return tuple(np.empty(interior, dtype).swapaxes(0, axis) for _ in range(2))
 
 
-def _fd4_1d(values: np.ndarray, h: float, axis: int, out=None) -> np.ndarray:
+def _fd4_1d(values: np.ndarray, h: float, axis: int, out=None, scratch=None) -> np.ndarray:
     """4th-order finite difference of a 2-D field along `axis`, one-sided at
     the edges.
 
     The result is written into `out` when given; it must not share memory
     with `values`, whose neighbours the stencil still reads. The interior,
-    ((v0 - 8 v1) + 8 v3 - v4) / (12 h), is formed in two cached arrays, so
-    that a call allocates no field-sized temporary.
+    ((v0 - 8 v1) + 8 v3 - v4) / (12 h), is formed in the two arrays of
+    `scratch`, by default the cached ones of `_fd4_scratch`, so that a call
+    allocates no field-sized temporary.
     """
     # views with `axis` first; swapaxes costs a small fraction of np.moveaxis
     v = values.swapaxes(0, axis)
     if out is None:
         out = np.empty_like(values)
     o = out.swapaxes(0, axis)
-    a, b = _fd4_scratch(values.shape, values.dtype, axis)
+    a, b = scratch or _fd4_scratch(values.shape, values.dtype, axis)
     np.multiply(8, v[1:-3], out=a)
     np.subtract(v[:-4], a, out=a)
     np.multiply(8, v[3:-1], out=b)
@@ -164,11 +165,17 @@ def derivative_matrix(n: int, spacing: float, bc: str) -> np.ndarray:
         # exactly Hermitian (the FFT leaves ~1e-15 of asymmetry)
         D = 0.5 * (D - D.T)
     elif bc == FD4:
-        D = _fd4_1d(np.eye(n), spacing, 0)
+        # in working space of its own, not evicting the field derivatives' scratch
+        D = _fd4_1d(np.eye(n), spacing, 0, scratch=_fd4_scratch.__wrapped__((n, n), float, 0))
     else:
         raise GridError(f"unknown boundary mode {bc!r}")
-    D.flags.writeable = False
-    return D
+    return _read_only(D)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, flagged read-only: for arrays that caches share between callers."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(eq=False)
@@ -235,11 +242,11 @@ class PhaseGrid:
 
     @cached_property
     def _ikq(self) -> np.ndarray:
-        return spectral_ik(self.n_q, self.dq)[:, None]
+        return _read_only(spectral_ik(self.n_q, self.dq)[:, None])
 
     @cached_property
     def _ikp(self) -> np.ndarray:
-        return spectral_ik(self.n_p, self.dp)[None, :]
+        return _read_only(spectral_ik(self.n_p, self.dp)[None, :])
 
     @cached_property
     def _q_matrix(self) -> np.ndarray:
@@ -253,7 +260,7 @@ class PhaseGrid:
     def _p_matrix_t_complex(self) -> np.ndarray:
         # a complex field is multiplied by the complex matrix: numpy would
         # otherwise cast the real one on every call
-        return self._p_matrix_t.astype(complex)
+        return _read_only(self._p_matrix_t.astype(complex))
 
     # -- array-level operations ------------------------------------------
 

@@ -75,40 +75,23 @@ class VNKernel:
 
 
 @lru_cache(maxsize=16)
-def _local_stencil_matrix(n: int, npts: int) -> np.ndarray:
-    """Row i: npts-point polynomial weights for the first derivative at
-    node i, on unit spacing.
+def _local_stencil_matrix(n: int) -> np.ndarray:
+    """Row i: 9-point polynomial weights for the first derivative at node i,
+    on unit spacing (cached, read-only).
 
     Each window is centred on i where it fits and one-sided at the edges.
-    Only the wide stencils of `hydro_from_kernel` come from here; the
-    5-point ones are the grid's FD4 stencil (`grid.derivative_matrix`).
+    These wide stencils are the FD4-grid factors of `hydro_from_kernel`;
+    everything else differentiates by `grid.derivative_matrix`.
     """
-    if n < npts:
-        raise KernelError(f"{npts}-point stencils do not fit on {n} nodes per axis")
+    if n < 9:
+        raise KernelError(f"9-point stencils do not fit on {n} nodes per axis")
     M = np.zeros((n, n))
     for i in range(n):
-        lo = min(max(i - (npts - 1) // 2, 0), n - npts)
-        A = np.vander(np.arange(lo - i, lo - i + npts), npts, increasing=True).T.astype(float)
-        b = np.zeros(npts)
-        b[1] = 1.0
-        M[i, lo : lo + npts] = np.linalg.solve(A, b)
+        lo = min(max(i - 4, 0), n - 9)
+        A = np.vander(np.arange(lo - i, lo - i + 9), 9, increasing=True).T.astype(float)
+        M[i, lo : lo + 9] = np.linalg.solve(A, np.eye(9)[1])
+    M.flags.writeable = False
     return M
-
-
-def derivative_matrices(grid: PhaseGrid, npts: int = 5):
-    """(D_q, D_p) acting on flattened fields: krons of the 1-D matrices of
-    `PhaseGrid.ddq`/`ddp` (`grid.derivative_matrix`), or on fd4 grids of
-    npts-point stencils when npts is not 5. Wider stencils serve where the
-    truncation error must sit below a tight tolerance (kernel extraction)."""
-
-    def factor(n, spacing):
-        if npts == 5 or grid.bc == PERIODIC:
-            return derivative_matrix(n, spacing, grid.bc)
-        return _local_stencil_matrix(n, npts) / spacing
-
-    Dq = np.kron(factor(grid.n_q, grid.dq), np.eye(grid.n_p))
-    Dp = np.kron(np.eye(grid.n_q), factor(grid.n_p, grid.dp))
-    return Dq, Dp
 
 
 def kernel_from_wavefunction(psi: WaveFunction) -> VNKernel:
@@ -123,26 +106,26 @@ def kernel_from_wavefunction(psi: WaveFunction) -> VNKernel:
 def prequantum_matrix(H: HamiltonianSpec, grid: PhaseGrid, hbar: float = 1.0) -> np.ndarray:
     """Dense discretization of iħ{H, ·} - L_H on flattened fields.
 
-    On a periodic grid the derivative matrices are exactly antisymmetric,
-    so the matrix is exactly Hermitian whenever dH/dq depends on q alone
-    and dH/dp on p alone (diag(h_q) then commutes with D_p, and diag(h_p)
-    with D_q); evolve_kernel takes its unitary eigenbasis from eigh there.
-    FD4 stencils and non-separable H give a non-Hermitian matrix.
+    The bracket a ∂_p - b ∂_q couples node (i, j) to the nodes (i, :)
+    through row j of the 1-D ∂_p of `grid.derivative_matrix`, and to the
+    nodes (:, j) through row i of ∂_q; both are written into L viewed as an
+    (n_q, n_p, n_q, n_p) array, with no N x N derivative matrix.
+
+    On a periodic grid the 1-D matrices are exactly antisymmetric, so the
+    matrix is exactly Hermitian whenever dH/dq depends on q alone and dH/dp
+    on p alone (diag(h_q) then commutes with ∂_p, and diag(h_p) with ∂_q);
+    evolve_kernel takes its unitary eigenbasis from eigh there. FD4
+    stencils and non-separable H give a non-Hermitian matrix.
     """
-    Dq, Dp = derivative_matrices(grid)
-    a, b, lh = (c.reshape(-1) for c in coefficient_fields(H, grid))
-    # the bytes of 1j*hbar*(a[:, None]*Dp - b[:, None]*Dq) - np.diag(lh),
-    # formed in the two kron matrices and one complex matrix: the complex
-    # product of m and 1j*hbar has real part m*0 - 0*hbar and imaginary part
-    # m*hbar + 0*0, signed zeros included, and diag(lh) meets the diagonal only
-    Dp *= a[:, None]
-    Dq *= b[:, None]
-    Dp -= Dq
-    del Dq
-    L = Dp.astype(complex)
-    del Dp
+    n_q, n_p = grid.n_q, grid.n_p
+    a, b, lh = coefficient_fields(H, grid)
+    i, j = np.indices((n_q, n_p))
+    L = np.zeros((n_q, n_p, n_q, n_p), complex)
+    L[i, j, i, :] = a[..., None] * derivative_matrix(n_p, grid.dp, grid.bc)[j]
+    L[i, j, :, j] -= b[..., None] * derivative_matrix(n_q, grid.dq, grid.bc)[i]
+    L = L.reshape(n_q * n_p, -1)
     L *= 1j * hbar
-    L.reshape(-1)[:: len(lh) + 1] -= lh
+    L.reshape(-1)[:: len(L) + 1] -= lh.reshape(-1)
     return L
 
 
@@ -307,25 +290,21 @@ def hydro_from_kernel(theta: VNKernel) -> HydroState:
     derivatives evaluated at coincidence.
     """
     g = theta.grid
-    # wide stencils: the kernel's phase factor is a chirp and the defect
-    # tolerances sit well below plain 4th-order truncation at coarse n
-    Dq, Dp = derivative_matrices(g, npts=9)
-    K = theta.K
-    # diag(K @ Dq.T) and diag(Dq @ K) without forming the products
-    d2_q = np.einsum("ij,ij->i", K, Dq)   # derivative in the second slot
-    d1_q = np.einsum("ij,ji->i", Dq, K)   # derivative in the first slot
-    d2_p = np.einsum("ij,ij->i", K, Dp)
-    d1_p = np.einsum("ij,ji->i", Dp, K)
-    sigma_q = (1j * theta.hbar / 2) * (d2_q - d1_q)
-    sigma_p = (1j * theta.hbar / 2) * (d2_p - d1_p)
-    D = np.real(np.diag(K))
-    shape = (g.n_q, g.n_p)
+    if g.bc == PERIODIC:
+        Mq, Mp = derivative_matrix(g.n_q, g.dq, g.bc), derivative_matrix(g.n_p, g.dp, g.bc)
+    else:
+        # wide stencils: the kernel's phase factor is a chirp and the defect
+        # tolerances sit well below plain 4th-order truncation at coarse n
+        Mq, Mp = _local_stencil_matrix(g.n_q) / g.dq, _local_stencil_matrix(g.n_p) / g.dp
+    K4 = theta.K.reshape(g.n_q, g.n_p, g.n_q, g.n_p)
+    # second-slot minus first-slot derivative at coincidence, each the 1-D
+    # matrix applied along one axis of the kernel
+    sigma_q = (1j * theta.hbar / 2) * (np.einsum("abcb,ac->ab", K4, Mq) - np.einsum("ac,cbab->ab", Mq, K4))
+    sigma_p = (1j * theta.hbar / 2) * (np.einsum("abad,bd->ab", K4, Mp) - np.einsum("bd,adab->ab", Mp, K4))
+    D = np.real(np.diag(theta.K))
     return HydroState(
-        OneForm(
-            ScalarField(g, np.real(sigma_q).reshape(shape)),
-            ScalarField(g, np.real(sigma_p).reshape(shape)),
-        ),
-        ScalarField(g, D.reshape(shape)),
+        OneForm(ScalarField(g, np.real(sigma_q)), ScalarField(g, np.real(sigma_p))),
+        ScalarField(g, D.reshape(g.n_q, g.n_p)),
     )
 
 

@@ -9,17 +9,22 @@ another way, and no library code calls it:
   against the semi-Lagrangian `liouville.evolve_pushforward`;
 - `quantum_energy`, the energy that `qhd.schrodinger_evolve` conserves;
 - `connection_residual`, the strict-contact condition that the lifts of
-  `hamiltonian.backward_characteristics` satisfy.
+  `hamiltonian.backward_characteristics` satisfy;
+- `kron_prequantum_matrix` and `kron_sigma`, the kernel layer's operators
+  through N x N krons of the 1-D derivative matrices, against
+  `vonneumann.prequantum_matrix` and `hydro_from_kernel`, which apply the
+  1-D matrices along the kernel's axes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from kvhsim.grid import PhaseGrid, ScalarField, rk4_steps
+from kvhsim.grid import PERIODIC, PhaseGrid, ScalarField, derivative_matrix, rk4_steps
 from kvhsim.hamiltonian import HamiltonianSpec, central_gradient, coefficient_fields, flow_with_action
 from kvhsim.kvh import WaveFunction
 from kvhsim.qhd import QWaveFunction
+from kvhsim.vonneumann import VNKernel, _local_stencil_matrix
 
 
 def bracket_density(psi: WaveFunction) -> ScalarField:
@@ -84,3 +89,35 @@ def connection_residual(G: HamiltonianSpec, t: float, grid: PhaseGrid, dt: float
             )
         )
     )
+
+
+def _krons(Mq: np.ndarray, Mp: np.ndarray, grid: PhaseGrid):
+    """(D_q, D_p) on flattened fields: the N x N krons of the 1-D matrices."""
+    return np.kron(Mq, np.eye(grid.n_p)), np.kron(np.eye(grid.n_q), Mp)
+
+
+def kron_prequantum_matrix(H: HamiltonianSpec, grid: PhaseGrid, hbar: float) -> np.ndarray:
+    """iħ(diag(h_q) D_p - diag(h_p) D_q) - diag(L_H), D the krons of the
+    matrices of `grid.derivative_matrix`."""
+    Mq, Mp = derivative_matrix(grid.n_q, grid.dq, grid.bc), derivative_matrix(grid.n_p, grid.dp, grid.bc)
+    Dq, Dp = _krons(Mq, Mp, grid)
+    a, b, lh = (c.reshape(-1) for c in coefficient_fields(H, grid))
+    return 1j * hbar * (a[:, None] * Dp - b[:, None] * Dq) - np.diag(lh)
+
+
+def kron_sigma(theta: VNKernel):
+    """(sigma_q, sigma_p) of the kernel: iħ/2 times the second-slot minus the
+    first-slot derivative at coincidence, each the diagonal of a product with
+    the kron of the extraction's 1-D matrix (the grid's own on periodic
+    grids, the 9-point stencils on fd4 grids)."""
+    g = theta.grid
+    if g.bc == PERIODIC:
+        Mq, Mp = derivative_matrix(g.n_q, g.dq, g.bc), derivative_matrix(g.n_p, g.dp, g.bc)
+    else:
+        Mq, Mp = _local_stencil_matrix(g.n_q) / g.dq, _local_stencil_matrix(g.n_p) / g.dp
+    sigma = []
+    for D in _krons(Mq, Mp, g):
+        d2 = np.einsum("ij,ij->i", theta.K, D)
+        d1 = np.einsum("ij,ji->i", D, theta.K)
+        sigma.append(np.real((1j * theta.hbar / 2) * (d2 - d1)).reshape(g.n_q, g.n_p))
+    return tuple(sigma)

@@ -218,6 +218,24 @@ class TestMatrixAxes:
         assert derivative_matrix(9, 0.5, bc) is not m
         assert not m.flags.writeable
 
+    def test_cached_arrays_are_read_only(self):
+        # every derivative on the grid shares them
+        g = PhaseGrid(-2, 2, -3, 3, 9, 12)
+        for cached in (g._ikq, g._ikp, g._q_matrix, g._p_matrix_t, g._p_matrix_t_complex):
+            assert not cached.flags.writeable
+
+    def test_building_an_fd4_matrix_keeps_the_field_scratch(self):
+        # the scratch cache holds 8 shapes: nine matrix builds must leave the
+        # working space of a 128² stencil derivative in place
+        derivative_matrix.cache_clear()
+        values = random_field((128, 128), float, 4)
+        make_grid(128, FD4).ddq(values, out=np.empty_like(values))
+        scratch = grid_module._fd4_scratch(values.shape, values.dtype, 0)
+        for n in range(5, 14):
+            derivative_matrix(n, 0.1, FD4)
+        kept = grid_module._fd4_scratch(values.shape, values.dtype, 0)
+        assert all(a is b for a, b in zip(kept, scratch))
+
     def test_derivative_matrix_rejects_an_unknown_bc(self):
         with pytest.raises(GridError, match="dirichlet"):
             derivative_matrix(8, 0.1, "dirichlet")

@@ -3,22 +3,16 @@
 import numpy as np
 import pytest
 
-from kvhsim import cli
+from kvhsim import cli, vonneumann
 from kvhsim.cli import RunConfig, apply_scenario_defaults
 from kvhsim.grid import FD4, PERIODIC, PhaseGrid, ScalarField, derivative_matrix, time_steps
-from kvhsim.hamiltonian import (
-    PolynomialHamiltonian,
-    backward_characteristics,
-    coefficient_fields,
-    scenario_hamiltonian,
-)
+from kvhsim.hamiltonian import PolynomialHamiltonian, backward_characteristics, scenario_hamiltonian
 from kvhsim.kvh import apply_prequantum, characteristics_oracle, gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import HydroState, hydro_from_wavefunction
 from kvhsim.vonneumann import (
     KernelError,
     VNKernel,
     density_centroid,
-    derivative_matrices,
     evolve_kernel,
     hydro_from_kernel,
     kernel_from_wavefunction,
@@ -26,8 +20,10 @@ from kvhsim.vonneumann import (
     point_particle_kernel,
     prequantum_matrix,
     sigma_defect,
+    _local_stencil_matrix,
     _rk4_stability,
 )
+from reference import kron_prequantum_matrix, kron_sigma
 
 SCENARIOS = ("harmonic", "free", "quartic", "pendulum")
 
@@ -162,39 +158,16 @@ class TestOperatorDiscretization:
         energy = float(np.real(np.sum(L * theta.K.T))) * theta.weight
         assert energy == pytest.approx(kvh_energy(H, psi), abs=1e-10)
 
-    def test_derivative_matrices_match_grid(self):
-        rng = np.random.default_rng(7)
-        for bc in ("periodic", "fd4"):
-            g = coarse_grid(bc)
-            f = rng.standard_normal((24, 24))
-            Dq, Dp = derivative_matrices(g)
-            np.testing.assert_allclose(
-                (Dq @ f.reshape(-1)).reshape(24, 24), g.ddq(f), atol=1e-10
-            )
-            np.testing.assert_allclose(
-                (Dp @ f.reshape(-1)).reshape(24, 24), g.ddp(f), atol=1e-10
-            )
-
     @pytest.mark.parametrize("n", [10, 25, 32])
     def test_spectral_diff_matrix_exactly_antisymmetric(self, n):
         D = derivative_matrix(n, 8.0 / n, PERIODIC)
         assert np.array_equal(D, -D.T)
 
-    @pytest.mark.parametrize("bc", [PERIODIC, FD4])
-    def test_derivative_matrices_are_krons_of_the_grid_matrices(self, bc):
-        # the kernel layer differentiates by the grid's own 1-D operators:
-        # each factor, read back out of its kron, is the grid's matrix exactly
-        g = PhaseGrid(-4, 4, -3, 3, 9, 12, bc)
-        Dq, Dp = derivative_matrices(g)
-        d1q, d1p = derivative_matrix(9, g.dq, bc), derivative_matrix(12, g.dp, bc)
-        assert np.array_equal(Dq[:: g.n_p, :: g.n_p], d1q)
-        assert np.array_equal(Dp[: g.n_p, : g.n_p], d1p)
-        assert np.array_equal(Dq, np.kron(d1q, np.eye(g.n_p)))
-        assert np.array_equal(Dp, np.kron(np.eye(g.n_q), d1p))
-
-    @pytest.mark.parametrize("shape", [(10, 10), (25, 25), (9, 12)])
+    @pytest.mark.parametrize("shape", [(10, 10), (25, 25), (9, 12), (70, 6)])
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_prequantum_matrix_exactly_hermitian_when_separable(self, name, shape):
+        # 70 nodes along q: there ddq takes the transform, but the kernel
+        # layer's 1-D matrix is still exactly antisymmetric
         g = PhaseGrid(-4, 4, -3, 3, *shape)
         L = prequantum_matrix(scenario_hamiltonian(name), g, hbar=0.7)
         assert np.array_equal(L, L.conj().T)
@@ -205,14 +178,11 @@ class TestOperatorDiscretization:
         [scenario_hamiltonian(h) for h in SCENARIOS] + [nonseparable()],
         ids=list(SCENARIOS) + ["nonseparable"],
     )
-    def test_prequantum_matrix_is_the_dense_formula_byte_for_byte(self, H, bc):
-        # signed zeros included: the in-place assembly does the same float
-        # operations as the expression
+    def test_prequantum_matrix_is_the_dense_formula(self, H, bc):
+        # every coupling is the kron formula's float operation; only the
+        # signs of zeros differ, as the kron's products 0 * x are not written
         g = PhaseGrid(-4, 4, -3, 3, 9, 12, bc)
-        Dq, Dp = derivative_matrices(g)
-        a, b, lh = (c.reshape(-1) for c in coefficient_fields(H, g))
-        expected = 1j * 0.7 * (a[:, None] * Dp - b[:, None] * Dq) - np.diag(lh)
-        assert prequantum_matrix(H, g, hbar=0.7).tobytes() == expected.tobytes()
+        assert np.array_equal(prequantum_matrix(H, g, hbar=0.7), kron_prequantum_matrix(H, g, 0.7))
 
     @pytest.mark.parametrize(
         "H, bc",
@@ -226,12 +196,18 @@ class TestOperatorDiscretization:
     def test_nine_point_stencils_exact_on_degree_8(self):
         # the wide stencils of hydro_from_kernel, one-sided rows included
         g = PhaseGrid(-1, 1, -1, 1, 12, 12, FD4)
-        Dq, Dp = derivative_matrices(g, npts=9)
+        Mq, Mp = _local_stencil_matrix(12) / g.dq, _local_stencil_matrix(12) / g.dp
         f = g.Q**8 - 3 * g.Q**5 * g.P**3 + g.P**8 + g.Q * g.P**7
         f_q = 8 * g.Q**7 - 15 * g.Q**4 * g.P**3 + g.P**7
         f_p = -9 * g.Q**5 * g.P**2 + 8 * g.P**7 + 7 * g.Q * g.P**6
-        np.testing.assert_allclose((Dq @ f.reshape(-1)).reshape(12, 12), f_q, atol=1e-9)
-        np.testing.assert_allclose((Dp @ f.reshape(-1)).reshape(12, 12), f_p, atol=1e-9)
+        np.testing.assert_allclose(Mq @ f, f_q, atol=1e-9)
+        np.testing.assert_allclose(f @ Mp.T, f_p, atol=1e-9)
+
+    def test_nine_point_stencils_are_cached_and_read_only(self):
+        # every fd4 kernel with this n shares the array
+        M = _local_stencil_matrix(12)
+        assert _local_stencil_matrix(12) is M
+        assert not M.flags.writeable
 
 
 class TestEvolution:
@@ -307,6 +283,28 @@ class TestEvolution:
         monkeypatch.setattr(np.linalg, "inv", refuse)
         theta_t = evolve_kernel(theta0, H, 0.1, 2e-3)
         assert np.max(np.abs(theta_t.K - ref)) <= 1e-12
+
+    def test_long_axis_never_takes_the_general_eigenbasis(self, monkeypatch):
+        # 70 nodes along q, where ddq takes the transform: L is still exactly
+        # Hermitian, so the evolution stays unitary
+        g = PhaseGrid(-4, 4, -4, 4, 70, 6)
+        theta0 = kernel_from_wavefunction(packet(g))
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        theta_t = evolve_kernel(theta0, scenario_hamiltonian("harmonic"), 0.05, 5e-3)
+        assert abs(theta_t.trace() - 1.0) < 1e-12
+        assert hermiticity_residual(theta_t) < 1e-12
+
+    @pytest.mark.parametrize("bc, solver", [("periodic", "eigh"), (FD4, "eig")], ids=["eigh", "eig"])
+    def test_evolved_kernel_is_the_one_of_the_kron_matrix(self, monkeypatch, bc, solver):
+        # byte for byte: the signs of L's zeros do not reach K
+        g = coarse_grid(bc) if bc == PERIODIC else PhaseGrid(-4, 4, -4, 4, 12, 12, FD4)
+        theta0 = kernel_from_wavefunction(packet(g))
+        H = scenario_hamiltonian("harmonic")
+        monkeypatch.setattr(np.linalg, {"eigh": "eig", "eig": "eigh"}[solver], refuse)
+        K = evolve_kernel(theta0, H, 0.15, 5e-3).K
+        monkeypatch.setattr(vonneumann, "prequantum_matrix", kron_prequantum_matrix)
+        assert K.tobytes() == evolve_kernel(theta0, H, 0.15, 5e-3).K.tobytes()
 
     def test_zero_horizon_is_an_exact_copy(self, monkeypatch):
         g = small_grid(FD4)
@@ -479,6 +477,19 @@ class TestPointParticle:
         d1 = sigma_defect(hydro_from_kernel(theta_t))
         assert (d1 - d0) / (np.pi / 2) < 1e-4
         assert abs(theta_t.trace() - theta0.trace()) < 1e-12
+
+    @pytest.mark.parametrize("case", ["sigma-defect", "periodic", "fd4-rectangular"])
+    def test_sigma_is_the_kron_extraction_byte_for_byte(self, case):
+        if case == "sigma-defect":
+            theta = delta_like()[2]
+        else:
+            g = coarse_grid() if case == "periodic" else PhaseGrid(-4, 4, -3, 3, 9, 12, FD4)
+            psi = gaussian_wavepacket(g, center=(0.5, 0.0), sigma=(0.8, 0.8), phase=lambda q, p: 0.2 * q)
+            theta = kernel_from_wavefunction(psi)
+        sigma = hydro_from_kernel(theta).sigma
+        sigma_q, sigma_p = kron_sigma(theta)
+        assert sigma.a_q.values.tobytes() == sigma_q.tobytes()
+        assert sigma.a_p.values.tobytes() == sigma_p.tobytes()
 
     def test_extracted_sigma_matches_wavefunction_hydro(self):
         # rank-1 cross-check of the slot-derivative extraction

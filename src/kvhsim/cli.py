@@ -314,8 +314,8 @@ def check_madelung(ctx: RunContext):
         psi_t = kvh.evolve(ctx.H, psi, t_cmp, cfg.dt, record_energy=False).final().field.values
         if _edge_content(psi_t) <= 1e-9:
             break
-    _, snaps = madelung.evolve_polar(pair0, ctx.H, t_cmp, cfg.dt)
-    pair_t = snaps[-1]
+    for _, pair_t in madelung.evolve_polar(pair0, ctx.H, t_cmp, cfg.dt):
+        pass
     recon = np.sqrt(np.maximum(pair_t.D.values, 0.0)) * np.exp(
         1j * pair_t.S.values / cfg.hbar
     )
@@ -329,8 +329,8 @@ def check_transport(ctx: RunContext):
     # The residual reads S alone, so D is not evolved.
     cfg = ctx.cfg
     phase0 = madelung.PolarPair(_polar_initial(ctx, cfg.n_q, cfg.n_p).S, None)
-    times, snaps = madelung.evolve_polar(phase0, ctx.H, 0.05, 2.5e-4, stride=1)
-    residuals = madelung.one_form_transport_residual(snaps, times, ctx.H)
+    stream = madelung.evolve_polar(phase0, ctx.H, 0.05, 2.5e-4, stride=1)
+    residuals = madelung.one_form_transport_residual(stream, ctx.H)
     return [CheckResult("transport_residual", max(residuals), cfg.tol("transport_residual"))]
 
 
@@ -422,10 +422,18 @@ def check_qhd(ctx: RunContext):
     g = qhd.LineGrid(-10.0, 10.0, 256)
     V = 0.5 * g.x**2
     psi0 = qhd.coherent_state(g, x0=1.0, p0=0.0, hbar=cfg.hbar)
-    times, snaps = qhd.schrodinger_evolve(psi0, V, cfg.t_final, cfg.dt)
-    norm_drift = max(abs(s.norm() - 1.0) for s in snaps)
-    cont = max(qhd.continuity_residual(times, snaps))
-    bohm = max(qhd.bohm_potential_residual(times, snaps, V))
+    if time_steps(cfg.t_final, cfg.dt)[0] < 2:
+        raise ConfigError(
+            f"the qhd check needs two steps for a centered time difference; "
+            f"t_final = {cfg.t_final} at dt = {cfg.dt} takes one"
+        )
+    # one band of the stream at a time: bands share their edge snapshots,
+    # which a maximum counts once as well as twice
+    norm_drift = cont = bohm = 0.0
+    for band in qhd.snapshot_bands(qhd.schrodinger_evolve(psi0, V, cfg.t_final, cfg.dt)):
+        norm_drift = max(norm_drift, *(abs(s.norm() - 1.0) for _, s in band))
+        cont = max(cont, *qhd.continuity_residual(band))
+        bohm = max(bohm, *qhd.bohm_potential_residual(band, V))
     return [
         CheckResult("qhd_norm_drift", norm_drift, cfg.tol("qhd_norm_drift")),
         CheckResult("qhd_continuity", cont, cfg.tol("qhd_continuity")),
@@ -560,9 +568,11 @@ def run_command(args) -> int:
     try:
         for name in checks:
             results.extend(CHECKS[name](ctx))
-    except (GridError, vonneumann.KernelError, kvh.EvolutionAborted, qhd.UnresolvedStateError) as exc:
-        # a check grid too small for its stencils, an ill-conditioned kernel
-        # basis, an unstable dt or an unresolved hbar; no run directory is made
+    except (ConfigError, GridError, vonneumann.KernelError, kvh.EvolutionAborted,
+            qhd.UnresolvedStateError) as exc:
+        # a horizon too short for a check, a check grid too small for its
+        # stencils, an ill-conditioned kernel basis, an unstable dt or an
+        # unresolved hbar; no run directory is made
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
@@ -573,7 +583,7 @@ def run_command(args) -> int:
     # artifacts: snapshots + conserved-quantity log for wavefunction runs
     if ctx._trajectory is not None:
         traj = ctx._trajectory
-        save_field(outdir / "psi_initial.kvhf", traj.snapshots[0].field)
+        save_field(outdir / "psi_initial.kvhf", traj.initial.field)
         save_field(outdir / "psi_final.kvhf", traj.final().field)
         log = {"t": traj.times, "norm": traj.norms}
         if traj.energies:

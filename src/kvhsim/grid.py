@@ -470,7 +470,7 @@ def time_steps(t_final: float, dt: float):
 
 
 def _advance(state, k, h, stage):
-    """stage = state + h k, component by component."""
+    """stage = state + h k, for each component of stage."""
     for s, dk, x in zip(state, k, stage):
         np.multiply(h, dk, out=x)
         np.add(s, x, out=x)
@@ -479,30 +479,33 @@ def _advance(state, k, h, stage):
 def rk4_step(rhs, state: tuple, dt: float, buffers) -> None:
     """One classical RK4 step of d(state)/dt = rhs(state), in place.
 
-    state is a tuple of arrays, overwritten with the stepped state. rhs is
-    called as rhs(*stage, out=k) and writes the derivative of each component
-    into the matching array of the tuple k. buffers holds k1, k2, k3, k4 and
-    the stage input, five tuples of arrays shaped like state. The stage
-    expressions keep one evaluation order, s + (0.5 dt) k and
-    s + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so every solver rounds alike.
+    state is a tuple of arrays, overwritten with the stepped state. buffers
+    holds three registers per component: the running sum, the stage input
+    and the current k, as tuples of arrays shaped like state. The stage
+    tuple may be shorter than state, for a right-hand side that reads only
+    the leading components: rhs is called as rhs(*stage, out=k), with the
+    stage inputs of those components alone, and writes the derivative of
+    every component into the matching array of the tuple k.
+
+    The stage expressions keep one evaluation order, s + (0.5 dt) k and
+    s + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), so every solver rounds alike:
+    k1 goes straight into the sum, and each later k forms the next stage
+    input before it is doubled and added.
     """
-    k1, k2, k3, k4, stage = buffers
-    rhs(*state, out=k1)
-    _advance(state, k1, 0.5 * dt, stage)
-    rhs(*stage, out=k2)
-    _advance(state, k2, 0.5 * dt, stage)
-    rhs(*stage, out=k3)
-    _advance(state, k3, dt, stage)
-    rhs(*stage, out=k4)
-    # the stage input and k2 are free now: they hold the weighted sum
-    for s, a, b, c, d, x in zip(state, k1, k2, k3, k4, stage):
-        np.multiply(2, b, out=x)
-        np.add(a, x, out=x)
-        np.multiply(2, c, out=b)
-        np.add(x, b, out=x)
-        np.add(x, d, out=x)
-        np.multiply(dt / 6, x, out=x)
-        np.add(s, x, out=s)
+    total, stage, k = buffers
+    rhs(*state[: len(stage)], out=total)
+    _advance(state, total, 0.5 * dt, stage)
+    for h in (0.5 * dt, dt):
+        rhs(*stage, out=k)
+        _advance(state, k, h, stage)
+        for acc, dk in zip(total, k):
+            np.multiply(2, dk, out=dk)
+            np.add(acc, dk, out=acc)
+    rhs(*stage, out=k)
+    for s, acc, dk in zip(state, total, k):
+        np.add(acc, dk, out=acc)
+        np.multiply(dt / 6, acc, out=acc)
+        np.add(s, acc, out=s)
 
 
 def rk4_steps(rhs, state: tuple, t_final: float, dt: float, stride: int = 0):
@@ -515,10 +518,11 @@ def rk4_steps(rhs, state: tuple, t_final: float, dt: float, stride: int = 0):
 
     state is stepped in place: every yield carries that same tuple,
     overwritten by the next step, so copy the arrays to keep them. The
-    stage buffers are allocated once, and released before the last yield.
+    three stage registers are allocated once, and released before the last
+    yield.
     """
     n_steps, dt = time_steps(t_final, dt)
-    buffers = [tuple(np.empty_like(s) for s in state) for _ in range(5)]
+    buffers = [tuple(np.empty_like(s) for s in state) for _ in range(3)]
     t_yielded = 0.0
     for step in range(1, n_steps + 1):
         # a blow-up is reported once, by EvolutionAborted, not by overflow warnings

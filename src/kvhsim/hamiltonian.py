@@ -231,14 +231,16 @@ def flow_with_action(H: HamiltonianSpec, t: float, q0, p0, dt: float = 1e-3):
     n_steps, h = time_steps(abs(t), dt)
     h = -h if t < 0 else h
 
-    def rhs(q, p, _, out):
+    def rhs(q, p, out):
         dq, dp, da = out
         dq[...] = H.h_p(q, p)
         np.negative(H.h_q(q, p), out=dp)
         np.multiply(p, dq, out=da)
         np.subtract(da, H.h(q, p), out=da)
 
-    buffers = [tuple(np.empty_like(q) for _ in range(3)) for _ in range(5)]
+    # the sum, the stage input and k: stage inputs of (q, p) alone, as the
+    # right-hand side never reads the action
+    buffers = [tuple(np.empty_like(q) for _ in range(n)) for n in (3, 2, 3)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
             _rk4_step(rhs, q, p, a, h, buffers)

@@ -102,15 +102,17 @@ def apply_prequantum(H: HamiltonianSpec, psi: WaveFunction) -> WaveFunction:
 
 @dataclass
 class Trajectory:
-    """Snapshots of an evolution, plus per-snapshot conserved quantities."""
+    """The first and the latest snapshot of an evolution, with the time and
+    the conserved quantities of every kept snapshot."""
 
     times: list
-    snapshots: list
+    initial: WaveFunction
+    latest: WaveFunction
     norms: list = field(default_factory=list)
     energies: list = field(default_factory=list)
 
     def final(self):
-        return self.snapshots[-1]
+        return self.latest
 
 
 def evolve(
@@ -124,9 +126,11 @@ def evolve(
     """Time-step the wavefunction transport dΨ/dt = {H, Ψ} + (i/ħ) L_H Ψ with
     classical RK4.
 
-    stride: snapshot every `stride` steps (0 keeps only start and end).
-    A non-finite step raises EvolutionAborted carrying the last snapshot
-    and its time.
+    stride: snapshot every `stride` steps (0 keeps only start and end). Every
+    snapshot adds its time, norm and energy to the trajectory, but only the
+    first and the latest field are held: the latest is copied into one
+    array for the whole run. A non-finite step raises EvolutionAborted
+    carrying the last snapshot and its time.
     """
     grid = psi0.grid
     hbar = psi0.hbar
@@ -150,20 +154,23 @@ def evolve(
             RuntimeWarning,
         )
 
-    def snap(t, v):
-        psi = WaveFunction(ScalarField(grid, v.copy()), hbar)
+    def record(t, psi):
         traj.times.append(t)
-        traj.snapshots.append(psi)
         traj.norms.append(psi.norm())
         if record_energy:
             traj.energies.append(kvh_energy(H, psi))
 
-    traj = Trajectory(times=[], snapshots=[])
     state = (psi0.field.values.astype(complex),)
-    snap(0.0, state[0])
+    initial = WaveFunction(ScalarField(grid, state[0].copy()), hbar)
+    traj = Trajectory(times=[], initial=initial, latest=initial)
+    record(0.0, initial)
     try:
         for t, (values,) in rk4_steps(rhs, state, t_final, dt, stride):
-            snap(t, values)
+            if traj.latest is initial:
+                traj.latest = WaveFunction(ScalarField(grid, values.copy()), hbar)
+            else:
+                np.copyto(traj.latest.field.values, values)
+            record(t, traj.latest)
     except EvolutionAborted as exc:
         exc.last_good = traj.final()
         raise

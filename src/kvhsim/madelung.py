@@ -19,6 +19,7 @@ from .grid import (
     ScalarField,
     divergence,
     rk4_steps,
+    time_steps,
 )
 from .hamiltonian import HamiltonianSpec, OneForm, coefficient_fields, self_broadcast
 from .kvh import WaveFunction
@@ -71,23 +72,31 @@ def classical_density(h: HydroState) -> ScalarField:
 def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float, stride: int = 0):
     """RK4 evolution of the polar-variable transport
         dS/dt = L_H + {H, S},  dD/dt = {H, D}
-    with coefficients sampled once; returns (times, snapshots), a snapshot
-    every `stride` steps and at t_final. A non-finite step raises
-    EvolutionAborted.
+    with coefficients sampled once. Yields (t, snapshot) pairs: the initial
+    pair at t = 0, then one every `stride` steps and one at t_final. Each
+    snapshot holds its own copies of the fields, so a consumer keeps what
+    it reads and no more. A non-finite step raises EvolutionAborted where
+    the stream is read.
 
     The two fields do not couple, so each is differentiated on its own grid:
     S on pair.S.grid, D on pair.D.grid. Those must share their nodes (n_q,
-    n_p and bounds), else GridMismatchError; their bc may differ. A pair
-    whose D is None evolves S alone, bit for bit as beside a D, and its
-    snapshots carry D = None.
+    n_p and bounds), else GridMismatchError at the call; their bc may
+    differ. A pair whose D is None evolves S alone, bit for bit as beside a
+    D, and its snapshots carry D = None.
     """
     gS = pair.S.grid
-    state = (pair.S.values.astype(float),)
-    if pair.D is not None:
-        gD = pair.D.grid
+    gD = None if pair.D is None else pair.D.grid
+    if gD is not None:
         nodes = [(g.n_q, g.n_p, g.q_min, g.q_max, g.p_min, g.p_max) for g in (gS, gD)]
         if nodes[0] != nodes[1]:
             raise GridMismatchError(f"S and D lie on different nodes: {nodes[0]} and {nodes[1]}")
+    time_steps(t_final, dt)  # a bad horizon or step raises here, not where the stream is read
+    return _polar_stream(pair, gS, gD, H, t_final, dt, stride)
+
+
+def _polar_stream(pair: PolarPair, gS: PhaseGrid, gD: PhaseGrid | None, H, t_final, dt, stride):
+    state = (pair.S.values.astype(float),)
+    if gD is not None:
         state += (pair.D.values.astype(float),)
     a, b, lh = coefficient_fields(H, gS)
     work = np.empty((gS.n_q, gS.n_p))
@@ -99,12 +108,9 @@ def evolve_polar(pair: PolarPair, H: HamiltonianSpec, t_final: float, dt: float,
         if D:
             gD.bracket(a, b, D[0], out=out[1], work=work)
 
-    times, snaps = [], []
     for t, (S, *D) in chain([(0.0, state)], rk4_steps(rhs, state, t_final, dt, stride)):
-        times.append(t)
         D_t = ScalarField(gD, D[0].copy()) if D else None
-        snaps.append(PolarPair(ScalarField(gS, S.copy()), D_t))
-    return times, snaps
+        yield t, PolarPair(ScalarField(gS, S.copy()), D_t)
 
 
 def _lie_coefficients(H: HamiltonianSpec, g: PhaseGrid):
@@ -129,22 +135,28 @@ def _lie_derivative_one_form(tau_q, tau_p, coeffs, g: PhaseGrid):
     )
 
 
-def one_form_transport_residual(snapshots, times, H: HamiltonianSpec):
-    """Residual time-series of (d/dt + £_{X_H})(dS - A) = 0.
+def one_form_transport_residual(stream, H: HamiltonianSpec):
+    """Residual time-series of (d/dt + £_{X_H})(dS - A) = 0 along a stream
+    of (t, PolarPair), as evolve_polar yields it.
 
     The time derivative is a centered difference between neighboring
-    snapshots, so residuals are reported at interior snapshot times; only
-    the one-forms of three neighboring snapshots are held at a time.
+    snapshots, so residuals are reported at interior snapshot times. The
+    stream is read once: only the one-forms of three neighboring snapshots
+    are held at a time, never the snapshots themselves.
     """
-    if len(snapshots) < 3:
-        raise ValueError("need at least three snapshots for a centered time derivative")
-    g = snapshots[0].S.grid
-    taus = ((g.ddq(pair.S.values) - g.P, g.ddp(pair.S.values)) for pair in snapshots)
-    coeffs = _lie_coefficients(H, g)
-    prev, cur = next(taus), next(taus)
+    coeffs = None
+    window = []  # (t, tau_q, tau_p) of at most three neighboring snapshots
     out = []
-    for k, nxt in enumerate(taus, start=1):
-        dt_c = times[k + 1] - times[k - 1]
+    for t, pair in stream:
+        g = pair.S.grid
+        if coeffs is None:
+            coeffs = _lie_coefficients(H, g)
+        del window[:-2]
+        window.append((t, g.ddq(pair.S.values) - g.P, g.ddp(pair.S.values)))
+        if len(window) < 3:
+            continue
+        (t_prev, *prev), (_, *cur), (t_next, *nxt) = window
+        dt_c = t_next - t_prev
         dtau_q = (nxt[0] - prev[0]) / dt_c
         dtau_p = (nxt[1] - prev[1]) / dt_c
         lie_q, lie_p = _lie_derivative_one_form(cur[0], cur[1], coeffs, g)
@@ -152,5 +164,6 @@ def one_form_transport_residual(snapshots, times, H: HamiltonianSpec):
             ((dtau_q + lie_q) ** 2 + (dtau_p + lie_p) ** 2).sum() * g.dq * g.dp
         )
         out.append(float(res))
-        prev, cur = cur, nxt
+    if not out:
+        raise ValueError("need at least three snapshots for a centered time derivative")
     return out

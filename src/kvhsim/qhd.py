@@ -93,31 +93,37 @@ def coherent_state(grid: LineGrid, x0: float, p0: float, hbar: float = 1.0) -> Q
 def schrodinger_evolve(psi0: QWaveFunction, V: np.ndarray, t_final: float, dt: float):
     """Strang split-step evolution of iħ dpsi/dt = -ħ²/2 psi'' + V psi.
 
-    Returns (times, snapshots), a snapshot at every step: the residuals use
-    centered time differences, so the snapshot spacing enters squared. V
-    must be sampled on the grid. A non-finite step raises EvolutionAborted,
-    whose t is the last kept time.
+    Yields (t, snapshot) pairs, psi0's copy at t = 0 and then one after
+    every step: the residuals use centered time differences, so the
+    snapshot spacing enters squared. Each snapshot owns its values, so a
+    consumer keeps what it reads and no more. V must be sampled on the
+    grid, else ValueError at the call; a bad horizon or step raises there
+    too. A non-finite step raises EvolutionAborted where the stream is
+    read, whose t is the last yielded time.
     """
     g = psi0.grid
-    hbar = psi0.hbar
     V = np.asarray(V, dtype=float)
     if V.shape != (g.n,):
         raise ValueError("potential must be sampled on the grid")
     n_steps, dt = time_steps(t_final, dt)
+    return _split_steps(psi0, V, n_steps, dt)
+
+
+def _split_steps(psi0: QWaveFunction, V: np.ndarray, n_steps: int, dt: float):
+    g = psi0.grid
+    hbar = psi0.hbar
     half_v = np.exp(-0.5j * V * dt / hbar)
     kinetic = np.exp(-0.5j * hbar * g.k**2 * dt)
     values = psi0.values.astype(complex).copy()
-    times = [0.0]
-    snaps = [psi0.copy()]
+    yield 0.0, psi0.copy()
     for step in range(1, n_steps + 1):
+        # every product is a new array, so the one yielded is never overwritten
         values = half_v * values
         values = np.fft.ifft(kinetic * np.fft.fft(values))
         values = half_v * values
         if not np.all(np.isfinite(values)):
-            raise EvolutionAborted(f"NaN in Schrodinger evolution at step {step}", times[-1])
-        times.append(step * dt)
-        snaps.append(QWaveFunction(g, values.copy(), hbar))
-    return times, snaps
+            raise EvolutionAborted(f"NaN in Schrodinger evolution at step {step}", (step - 1) * dt)
+        yield step * dt, QWaveFunction(g, values, hbar)
 
 
 def quantum_madelung_momap(psi: QWaveFunction):
@@ -131,59 +137,74 @@ def quantum_madelung_momap(psi: QWaveFunction):
     return mu, D
 
 
-# interior snapshots per band of the residual series: a quarter period at
-# dt 2.5e-3 stacked whole held 17 MB of temporaries in the Bohm residual
-_SERIES_BAND = 64
+# interior snapshots per band of the residual series: the band's stacked
+# temporaries, not the snapshots, set the peak memory of the qhd check
+_SERIES_BAND = 32
 
 
-def _bands(times, snapshots):
-    """(times, snapshots) of consecutive bands of interior snapshots, each
-    band with the neighbour on either side that its time differences read."""
-    for a in range(0, len(snapshots) - 2, _SERIES_BAND):
-        b = min(a + _SERIES_BAND + 2, len(snapshots))
-        yield times[a:b], snapshots[a:b]
+def snapshot_bands(stream):
+    """Consecutive bands of a (t, snapshot) stream, as lists of pairs: each
+    band's interior snapshots with the neighbour on either side that their
+    centered time differences read, so consecutive bands share two pairs.
+    Only one band of at most _SERIES_BAND + 2 pairs is held at a time. A
+    stream of fewer than three snapshots has no interior snapshot and
+    raises ValueError.
+    """
+    band = []
+    yielded = False
+    for pair in stream:
+        band.append(pair)
+        if len(band) == _SERIES_BAND + 2:
+            yield band
+            yielded = True
+            band = band[-2:]
+    if len(band) > 2:
+        yield band
+    elif not yielded:
+        raise ValueError("need at least three snapshots for a centered time derivative")
 
 
-def _series(times, snapshots):
-    """The snapshots stacked one per row: the centered time steps of the
-    interior rows, as a column, and the momentum map (mu, D) of every row,
-    each computed once."""
-    t = np.asarray(times, dtype=float)
-    first = snapshots[0]
-    stack = QWaveFunction(first.grid, np.array([s.values for s in snapshots]), first.hbar)
+def _series(band):
+    """The band's snapshots stacked one per row: the centered time steps of
+    the interior rows, as a column, and the momentum map (mu, D) of every
+    row, each computed once."""
+    t = np.asarray([t for t, _ in band], dtype=float)
+    first = band[0][1]
+    stack = QWaveFunction(first.grid, np.array([s.values for _, s in band]), first.hbar)
     return (t[2:] - t[:-2])[:, None], *quantum_madelung_momap(stack)
 
 
-def continuity_residual(times, snapshots):
-    """L2 residual time-series of dD/dt + mu' at interior snapshots, each
-    band of snapshots evaluated in one pass over its stacked series."""
-    g = snapshots[0].grid
+def continuity_residual(stream):
+    """L2 residual time-series of dD/dt + mu' at the interior snapshots of a
+    (t, snapshot) stream, each band of snapshot_bands evaluated in one pass
+    over its stacked series."""
     out = []
-    for band_times, band in _bands(times, snapshots):
-        dt_c, mu, D = _series(band_times, band)
+    for band in snapshot_bands(stream):
+        g = band[0][1].grid
+        dt_c, mu, D = _series(band)
         res = (D[2:] - D[:-2]) / dt_c + g.ddx(mu[1:-1])
         out += np.sqrt(g.integrate(res**2)).tolist()
     return out
 
 
-def bohm_potential_residual(times, snapshots, V: np.ndarray):
-    """L2 residual of dv/dt + v v' + (V + Q)' over the supported region.
+def bohm_potential_residual(stream, V: np.ndarray):
+    """L2 residual of dv/dt + v v' + (V + Q)' over the supported region, at
+    the interior snapshots of a (t, snapshot) stream.
 
     v = mu/D; nodes where D is at or below MASK_EPS at the snapshot or
     its neighbors are excluded. Spatial derivatives are only ever taken
     of the globally smooth fields mu, D and V, then combined pointwise;
     differentiating masked ratios (v, Q) directly would spray Gibbs
     oscillations from the density tails across the whole line. Each band
-    of snapshots is evaluated in one pass over its stacked series.
+    of snapshot_bands is evaluated in one pass over its stacked series.
     """
-    g = snapshots[0].grid
-    hbar = snapshots[0].hbar
-    # local stencils for the potential: V need not be periodic, and the
-    # spectral derivative of a non-periodic sample is polluted everywhere
-    Vx = np.gradient(np.asarray(V, dtype=float), g.dx, edge_order=2)
     out = []
-    for band_times, band in _bands(times, snapshots):
-        dt_c, mu_all, D_all = _series(band_times, band)
+    for band in snapshot_bands(stream):
+        g, hbar = band[0][1].grid, band[0][1].hbar
+        # local stencils for the potential: V need not be periodic, and the
+        # spectral derivative of a non-periodic sample is polluted everywhere
+        Vx = np.gradient(np.asarray(V, dtype=float), g.dx, edge_order=2)
+        dt_c, mu_all, D_all = _series(band)
         # each snapshot's own velocity, masked by its own density alone
         supported = D_all > MASK_EPS
         v_all = np.where(supported, mu_all / np.where(supported, D_all, 1.0), 0.0)

@@ -322,6 +322,20 @@ class TestCommandLine:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    def test_one_step_qhd_horizon_is_one_line_usage_error(self, tmp_path, capsys):
+        # one step leaves no interior snapshot for a centered time difference
+        argv = ["run", "--scenario", "qhd-coherent", "--check", "qhd", "--t-final", "0.001",
+                "--dt", "1e-3", "--outdir", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            # a warning would print a second line to stderr
+            warnings.simplefilter("error")
+            rc = cli.main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: the qhd check needs two steps")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_kernel_error_is_one_line_usage_error(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text(

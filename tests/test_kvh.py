@@ -115,6 +115,24 @@ class TestEvolution:
         traj = evolve(H, psi, 0.1, 1e-2, stride=5, record_energy=False)
         assert traj.times == pytest.approx([0.0, 0.05, 0.1])
 
+    def test_kept_snapshots_hold_two_fields(self, psi, traced_peak):
+        # every kept snapshot adds its time and norm (two floats and their
+        # list slots, under 128 bytes), but only the first and the latest
+        # field are held: stride 1 peaks within one field of stride 0, and
+        # ends on the same bits
+        H = scenario_hamiltonian("harmonic")
+
+        def run(stride):
+            return evolve(H, psi, 0.1, 1e-3, stride=stride, record_energy=False)
+
+        run(0)  # the derivative scratch the solve caches is not under test
+        peaks = {stride: traced_peak(lambda: run(stride)) for stride in (0, 1)}
+        assert peaks[1] <= peaks[0] + psi.field.values.nbytes + 101 * 128
+        every, ends = run(1), run(0)
+        assert len(every.times) == len(every.norms) == 101 and len(ends.times) == 2
+        assert np.array_equal(every.initial.field.values, psi.field.values)
+        assert np.array_equal(every.final().field.values, ends.final().field.values)
+
     def test_cfl_warning(self, grid, psi):
         H = scenario_hamiltonian("harmonic")
         with pytest.warns(RuntimeWarning):

@@ -114,7 +114,7 @@ class TestPolarEvolution:
     def test_density_mass_conserved(self):
         g, pair = polar_pair()
         H = scenario_hamiltonian("harmonic")
-        _, snaps = evolve_polar(pair, H, 0.5, 1e-3)
+        snaps = [snap for _, snap in evolve_polar(pair, H, 0.5, 1e-3)]
         m0 = np.real(integrate(pair.D))
         m1 = np.real(integrate(snaps[-1].D))
         assert m1 == pytest.approx(m0, abs=1e-8)
@@ -122,8 +122,7 @@ class TestPolarEvolution:
     def test_transport_residual_small(self):
         g, pair = polar_pair()
         H = scenario_hamiltonian("harmonic")
-        times, snaps = evolve_polar(pair, H, 0.05, 2.5e-4, stride=1)
-        res = one_form_transport_residual(snaps, times, H)
+        res = one_form_transport_residual(evolve_polar(pair, H, 0.05, 2.5e-4, stride=1), H)
         assert max(res) < 1e-5
 
     def test_transport_residual_holds_three_one_forms(self, traced_peak):
@@ -135,20 +134,45 @@ class TestPolarEvolution:
         times = [k * 2.5e-4 for k in range(201)]
         snaps = [PolarPair(ScalarField(g, (1 + t) * S), None) for t in times]
         H = scenario_hamiltonian("harmonic")
-        peak = traced_peak(lambda: one_form_transport_residual(snaps, times, H))
+        peak = traced_peak(lambda: one_form_transport_residual(zip(times, snaps), H))
         assert peak <= 32 * S.nbytes
+
+    def test_transport_over_a_stream_holds_a_window(self, traced_peak):
+        # the residual reads the solve's stream on 64², as in the transport
+        # check: its peak stays within a few fields whether the solve takes
+        # 50 or 200 steps, never one field per snapshot
+        g = PhaseGrid(-8, 8, -8, 8, 64, 64, FD4)
+        S = ScalarField(g, 0.3 * g.Q - 0.2 * g.P + 0.05 * g.Q * g.P)
+        H = scenario_hamiltonian("harmonic")
+
+        def peak(n_steps):
+            stream = evolve_polar(PolarPair(S, None), H, n_steps * 2.5e-4, 2.5e-4, stride=1)
+            return traced_peak(lambda: one_form_transport_residual(stream, H))
+
+        peak(50)  # the derivative scratch the solve caches is not under test
+        field = S.values.nbytes
+        assert peak(200) <= peak(50) + 2 * field
+        assert peak(200) <= 40 * field
+
+    def test_bad_step_raises_at_the_call(self):
+        # like fields on different nodes, before the stream is read
+        g, pair = polar_pair(24)
+        with pytest.raises(ValueError, match="dt"):
+            evolve_polar(pair, scenario_hamiltonian("harmonic"), 0.1, -1e-3)
 
     def test_transport_needs_three_snapshots(self):
         g, pair = polar_pair(24)
         with pytest.raises(ValueError):
-            one_form_transport_residual([pair, pair], [0.0, 0.1], scenario_hamiltonian("free"))
+            one_form_transport_residual(zip([0.0, 0.1], [pair, pair]), scenario_hamiltonian("free"))
 
     def test_unstable_step_raises(self):
         # dt 0.5 on 32 nodes is far beyond the RK4 limit; the pair overflows to NaN
         g, pair = polar_pair(32)
         H = scenario_hamiltonian("harmonic")
+        stream = evolve_polar(pair, H, 200.0, 0.5)
         with pytest.raises(EvolutionAborted, match="non-finite state"):
-            evolve_polar(pair, H, 200.0, 0.5)
+            for _ in stream:
+                pass
 
     @pytest.mark.parametrize(
         "d_grid",
@@ -160,6 +184,7 @@ class TestPolarEvolution:
         ids=["n_p", "p_max", "shifted"],
     )
     def test_fields_on_different_nodes_rejected(self, d_grid):
+        # at the call: the stream is never read
         g, pair = polar_pair()
         D = ScalarField(d_grid, np.zeros((d_grid.n_q, d_grid.n_p)))
         with pytest.raises(GridMismatchError, match="different nodes"):
@@ -225,12 +250,12 @@ def test_phase_alone_evolves_as_beside_the_density():
     ctx = RunContext(RunConfig())
     pair = cli._polar_initial(ctx, 64, 64)
     H = ctx.H
-    times, snaps = evolve_polar(pair, H, 0.05, 2.5e-4, stride=1)
-    times_s, snaps_s = evolve_polar(PolarPair(pair.S, None), H, 0.05, 2.5e-4, stride=1)
+    times, snaps = zip(*evolve_polar(pair, H, 0.05, 2.5e-4, stride=1))
+    times_s, snaps_s = zip(*evolve_polar(PolarPair(pair.S, None), H, 0.05, 2.5e-4, stride=1))
     assert times_s == times
     assert all(s.D is None for s in snaps_s)
     assert all(np.array_equal(a.S.values, b.S.values) for a, b in zip(snaps_s, snaps, strict=True))
-    assert one_form_transport_residual(snaps_s, times_s, H) == one_form_transport_residual(snaps, times, H)
+    assert one_form_transport_residual(zip(times_s, snaps_s), H) == one_form_transport_residual(zip(times, snaps), H)
 
 
 def cartan_defect(name, n, bc):

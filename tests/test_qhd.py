@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from kvhsim.cli import RunConfig, RunContext, check_qhd
+from kvhsim.grid import EvolutionAborted
 from kvhsim.qhd import (
+    _SERIES_BAND,
     MASK_EPS,
     LineGrid,
     QWaveFunction,
@@ -13,8 +16,15 @@ from kvhsim.qhd import (
     continuity_residual,
     quantum_madelung_momap,
     schrodinger_evolve,
+    snapshot_bands,
 )
 from reference import quantum_energy
+
+
+def collect(stream):
+    """The times and the snapshots of a (t, snapshot) stream, as two lists."""
+    pairs = list(stream)
+    return [t for t, _ in pairs], [snap for _, snap in pairs]
 
 
 @pytest.fixture
@@ -49,7 +59,7 @@ class TestStates:
 class TestEvolution:
     def test_norm_and_energy_conserved(self, grid, harmonic):
         psi0 = coherent_state(grid, x0=1.0, p0=0.0)
-        times, snaps = schrodinger_evolve(psi0, harmonic, 1.0, 1e-3)
+        times, snaps = collect(schrodinger_evolve(psi0, harmonic, 1.0, 1e-3))
         assert abs(snaps[-1].norm() - 1.0) < 1e-12
         e0 = quantum_energy(snaps[0], harmonic)
         e1 = quantum_energy(snaps[-1], harmonic)
@@ -57,20 +67,36 @@ class TestEvolution:
 
     def test_ground_state_density_stationary(self, grid, harmonic):
         psi0 = coherent_state(grid, x0=0.0, p0=0.0)
-        _, snaps = schrodinger_evolve(psi0, harmonic, 1.0, 1e-3)
+        _, snaps = collect(schrodinger_evolve(psi0, harmonic, 1.0, 1e-3))
         d0 = np.abs(snaps[0].values) ** 2
         d1 = np.abs(snaps[-1].values) ** 2
         # split-step phase errors leave a tiny density ripple
         assert np.max(np.abs(d1 - d0)) < 1e-6
 
     def test_potential_shape_checked(self, grid):
+        # at the call: the stream is never read
         psi0 = coherent_state(grid, x0=0.0, p0=0.0)
         with pytest.raises(ValueError):
             schrodinger_evolve(psi0, np.zeros(7), 0.1, 1e-2)
 
+    def test_bad_step_raises_at_the_call(self, grid, harmonic):
+        # like a mis-shaped potential, before the stream is read
+        psi0 = coherent_state(grid, x0=0.0, p0=0.0)
+        with pytest.raises(ValueError, match="dt"):
+            schrodinger_evolve(psi0, harmonic, 0.1, 0.0)
+
+    def test_blow_up_raises_with_the_last_yielded_time(self, grid, harmonic):
+        psi0 = coherent_state(grid, x0=0.0, p0=0.0)
+        psi0.values[0] = np.inf
+        times = []
+        with pytest.raises(EvolutionAborted, match="at step 1") as info, np.errstate(invalid="ignore"):
+            for t, _ in schrodinger_evolve(psi0, harmonic, 0.1, 1e-2):
+                times.append(t)
+        assert times == [0.0] and info.value.t == 0.0
+
     def test_a_snapshot_at_every_step(self, grid, harmonic):
         psi0 = coherent_state(grid, x0=1.0, p0=0.0)
-        times, snaps = schrodinger_evolve(psi0, harmonic, 0.03, 1e-2)
+        times, snaps = collect(schrodinger_evolve(psi0, harmonic, 0.03, 1e-2))
         assert times == pytest.approx([0.0, 0.01, 0.02, 0.03])
         assert len(snaps) == 4
 
@@ -78,13 +104,13 @@ class TestEvolution:
 class TestHydrodynamicResiduals:
     def test_continuity(self, grid, harmonic):
         psi0 = coherent_state(grid, x0=1.0, p0=0.0)
-        times, snaps = schrodinger_evolve(psi0, harmonic, 0.2, 1e-3)
-        assert max(continuity_residual(times, snaps)) < 1e-5
+        stream = schrodinger_evolve(psi0, harmonic, 0.2, 1e-3)
+        assert max(continuity_residual(stream)) < 1e-5
 
     def test_bohm_momentum_balance(self, grid, harmonic):
         psi0 = coherent_state(grid, x0=1.0, p0=0.0)
-        times, snaps = schrodinger_evolve(psi0, harmonic, 0.2, 1e-3)
-        assert max(bohm_potential_residual(times, snaps, harmonic)) < 1e-4
+        stream = schrodinger_evolve(psi0, harmonic, 0.2, 1e-3)
+        assert max(bohm_potential_residual(stream, harmonic)) < 1e-4
 
     @pytest.mark.parametrize(
         "n, x0, p0, hbar",
@@ -95,22 +121,47 @@ class TestHydrodynamicResiduals:
         g = LineGrid(-10.0, 10.0, n)
         V = 0.5 * g.x**2
         psi0 = coherent_state(g, x0=x0, p0=p0, hbar=hbar)
-        times, snaps = schrodinger_evolve(psi0, V, 0.2, 1e-3)
+        times, snaps = collect(schrodinger_evolve(psi0, V, 0.2, 1e-3))
         # the density tails fall below MASK_EPS, so the Bohm mask cuts in
         D = np.abs(snaps[0].values) ** 2
         assert (D <= MASK_EPS).any() and (D > MASK_EPS).any()
         cont, bohm = per_snapshot_residuals(times, snaps, V)
-        assert np.array_equal(continuity_residual(times, snaps), cont)
-        assert np.array_equal(bohm_potential_residual(times, snaps, V), bohm)
+        assert np.array_equal(continuity_residual(zip(times, snaps)), cont)
+        assert np.array_equal(bohm_potential_residual(zip(times, snaps), V), bohm)
+
+    @pytest.mark.parametrize("n", [3, 4, _SERIES_BAND + 2, _SERIES_BAND + 3, 2 * _SERIES_BAND + 2, 100])
+    def test_bands_cover_every_interior_snapshot_once(self, n):
+        # each band's interior snapshots with one neighbour on either side:
+        # bands start every _SERIES_BAND snapshots and share two of them
+        stream = ((float(k), k) for k in range(n))
+        bands = [[k for _, k in band] for band in snapshot_bands(stream)]
+        starts = range(0, n - 2, _SERIES_BAND)
+        assert bands == [list(range(a, min(a + _SERIES_BAND + 2, n))) for a in starts]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_snapshots_rejected(self, grid, n):
+        psi = coherent_state(grid, x0=1.0, p0=0.0)
+        with pytest.raises(ValueError, match="three snapshots"):
+            continuity_residual((0.1 * k, psi) for k in range(n))
+
+    def test_check_peak_does_not_grow_with_the_horizon(self, traced_peak):
+        # the check reads the Schrodinger stream one band at a time, so a
+        # horizon four times longer holds no more than one more snapshot
+        def peak(t_final):
+            ctx = RunContext(RunConfig(scenario="qhd-coherent", t_final=t_final))
+            return traced_peak(lambda: check_qhd(ctx))
+
+        peak(0.2), peak(0.8)  # the first calls' caches are not under test
+        assert peak(0.8) <= peak(0.2) + 256 * 16
 
     def test_all_masked_rejected(self, grid, harmonic):
         # a peak density near 0.56e-8, below MASK_EPS at every node
         psi0 = coherent_state(grid, x0=1.0, p0=0.0)
         psi0.values *= 1e-4
-        times, snaps = schrodinger_evolve(psi0, harmonic, 0.01, 1e-3)
+        times, snaps = collect(schrodinger_evolve(psi0, harmonic, 0.01, 1e-3))
         assert max(np.abs(s.values).max() ** 2 for s in snaps) < MASK_EPS
         with pytest.raises(ValueError, match="entire domain masked"):
-            bohm_potential_residual(times, snaps, harmonic)
+            bohm_potential_residual(zip(times, snaps), harmonic)
 
 
 

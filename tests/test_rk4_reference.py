@@ -97,7 +97,7 @@ def test_evolve_polar(grid, H, psi, mixed):
 
     ref = reference_rk4(rhs, (S, D), T_FINAL, DT)
     pair = PolarPair(ScalarField(grid, S), ScalarField(g_D, D))
-    _, snaps = evolve_polar(pair, H, T_FINAL, DT, stride=3)
+    snaps = [snap for _, snap in evolve_polar(pair, H, T_FINAL, DT, stride=3)]
     assert snaps[-1].S.grid is grid and snaps[-1].D.grid is g_D
     assert np.array_equal(snaps[-1].S.values, ref[0])
     assert np.array_equal(snaps[-1].D.values, ref[1])

@@ -43,40 +43,58 @@ class EvolutionAborted(RuntimeError):
         self.last_good = None
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, flagged read-only: for arrays that caches share between callers."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
 def spectral_ik(n: int, spacing: float) -> np.ndarray:
-    """i k of the n-point DFT at the given spacing, for spectral derivatives.
+    """i k of the n-point DFT at the given spacing, for spectral derivatives
+    (cached, read-only).
 
     The Nyquist mode of an even n is zeroed: its derivative is not resolved.
     """
     k = 2 * np.pi * np.fft.fftfreq(n, d=spacing)
     if n % 2 == 0:
         k[n // 2] = 0.0
-    return 1j * k
+    return _read_only(1j * k)
 
 
 # An axis of at most this many nodes is differentiated by one BLAS product
 # with `derivative_matrix`; a longer one by `_spectral_1d` or `_fd4_1d`, whose
 # per-call Python overhead dominates on short axes. At 64 nodes a real
-# product takes a sixth or less of an FFT or stencil call and a complex one
-# a third to two thirds; at 128 the complex product along p is slower than
-# the transform, and a 128² fd4 unitarity run is slower on the product than
-# on the stencil.
+# product takes a sixth to a third of an FFT or stencil call and a complex one
+# a third to two thirds; at 128² the product along p of a complex field takes
+# 180–250 µs against 145–200 µs for the transform, and a 128² fd4 unitarity
+# run is slower on the product than on the stencil.
 _MATRIX_AXIS_MAX = 64
 
 
-def _matrix_ddq(m: np.ndarray, values: np.ndarray, out=None) -> np.ndarray:
-    """m @ values: the 1-D matrix m applied along axis 0. A complex field is
-    multiplied as its real view, (n_q, 2 n_p), by one real product."""
+def _matrix_1d(m: np.ndarray, values: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """The 1-D matrix m applied along `axis` of a 2-D field by one real
+    product: m @ values along axis 0, and along axis 1 the same product on
+    the transposed field, (m @ values.T).T.
+
+    A real field along axis 1 is multiplied as values @ m.T, that product bit
+    for bit, written in C order. A complex field is multiplied as the real
+    view of its axis-first copy, (n, 2 n_other), so no flop multiplies a zero
+    imaginary part. A given `out` is returned as itself; else the result is
+    C-contiguous.
+    """
     if values.dtype != complex:
-        return np.matmul(m, values, out=out)
-    product = np.ascontiguousarray(values).view(float)
-    if out is not None and out.dtype == complex and out.flags.c_contiguous:
-        np.matmul(m, product, out=out.view(float))
+        return np.matmul(values, m.T, out=out) if axis else np.matmul(m, values, out=out)
+    first = np.ascontiguousarray(values.T if axis else values).view(float)
+    if out is not None and not axis and out.dtype == complex and out.flags.c_contiguous:
+        np.matmul(m, first, out=out.view(float))
         return out
-    product = (m @ product).view(complex)
+    d = (m @ first).view(complex)
+    if axis:
+        d = d.T
     if out is None:
-        return product
-    np.copyto(out, product)
+        return np.ascontiguousarray(d)
+    np.copyto(out, d)
     return out
 
 
@@ -172,10 +190,16 @@ def derivative_matrix(n: int, spacing: float, bc: str) -> np.ndarray:
     return _read_only(D)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, flagged read-only: for arrays that caches share between callers."""
-    a.flags.writeable = False
-    return a
+def _derivative(values: np.ndarray, axis: int, n: int, spacing: float, bc: str, out) -> np.ndarray:
+    """d/d`axis` of a 2-D field whose `axis` has n nodes of this spacing: one
+    product with `derivative_matrix` for at most _MATRIX_AXIS_MAX nodes, else
+    the transform or the stencil of bc."""
+    if n <= _MATRIX_AXIS_MAX:
+        return _matrix_1d(derivative_matrix(n, spacing, bc), values, axis, out)
+    if bc == PERIODIC:
+        ik = spectral_ik(n, spacing)
+        return _spectral_1d(values, ik if axis else ik[:, None], axis, out)
+    return _fd4_1d(values, spacing, axis, out)
 
 
 @dataclass(eq=False)
@@ -240,46 +264,15 @@ class PhaseGrid:
         """Fractional node indices of the points (q, p), one row per axis."""
         return np.array([(q - self.q_min) / self.dq, (p - self.p_min) / self.dp])
 
-    @cached_property
-    def _ikq(self) -> np.ndarray:
-        return _read_only(spectral_ik(self.n_q, self.dq)[:, None])
-
-    @cached_property
-    def _ikp(self) -> np.ndarray:
-        return _read_only(spectral_ik(self.n_p, self.dp)[None, :])
-
-    @cached_property
-    def _q_matrix(self) -> np.ndarray:
-        return derivative_matrix(self.n_q, self.dq, self.bc)
-
-    @cached_property
-    def _p_matrix_t(self) -> np.ndarray:
-        return derivative_matrix(self.n_p, self.dp, self.bc).T
-
-    @cached_property
-    def _p_matrix_t_complex(self) -> np.ndarray:
-        # a complex field is multiplied by the complex matrix: numpy would
-        # otherwise cast the real one on every call
-        return _read_only(self._p_matrix_t.astype(complex))
-
     # -- array-level operations ------------------------------------------
 
     def ddq(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """d/dq of values; written into `out` (not `values` itself) when given."""
-        if self.n_q <= _MATRIX_AXIS_MAX:
-            return _matrix_ddq(self._q_matrix, values, out)
-        if self.bc == PERIODIC:
-            return _spectral_1d(values, self._ikq, 0, out)
-        return _fd4_1d(values, self.dq, 0, out)
+        return _derivative(values, 0, self.n_q, self.dq, self.bc, out)
 
     def ddp(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """d/dp of values; written into `out` (not `values` itself) when given."""
-        if self.n_p <= _MATRIX_AXIS_MAX:
-            m = self._p_matrix_t_complex if values.dtype == complex else self._p_matrix_t
-            return np.matmul(values, m, out=out)
-        if self.bc == PERIODIC:
-            return _spectral_1d(values, self._ikp, 1, out)
-        return _fd4_1d(values, self.dp, 1, out)
+        return _derivative(values, 1, self.n_p, self.dp, self.bc, out)
 
     def bracket(self, a, b, values, out=None, work=None) -> np.ndarray:
         """{F, f} = a ∂_p f - b ∂_q f, for a = ∂F/∂q and b = ∂F/∂p sampled on the grid.
@@ -322,22 +315,8 @@ class ScalarField:
                 f"({self.grid.n_q}, {self.grid.n_p})"
             )
 
-    def conj(self) -> "ScalarField":
-        return ScalarField(self.grid, np.conj(self.values))
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return ScalarField(self.grid, self.values * other.values)
-        return ScalarField(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
 
 
 def _check_same_grid(f: ScalarField, g: ScalarField) -> None:

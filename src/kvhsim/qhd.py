@@ -36,17 +36,13 @@ class LineGrid:
         return self.x_min + self.dx * np.arange(self.n)
 
     @cached_property
-    def _ik(self) -> np.ndarray:
-        return spectral_ik(self.n, self.dx)
-
-    @cached_property
     def k(self) -> np.ndarray:
-        # the kinetic phase needs the Nyquist mode, which _ik drops
+        # the kinetic phase needs the Nyquist mode, which spectral_ik drops
         return 2 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     def ddx(self, values: np.ndarray) -> np.ndarray:
         """d/dx along the last axis: of one sample, or of each row of a stack."""
-        return _spectral_1d(values, self._ik, -1)
+        return _spectral_1d(values, spectral_ik(self.n, self.dx), -1)
 
     def integrate(self, values: np.ndarray):
         """Integral along the last axis: of one sample, or of each row of a stack."""

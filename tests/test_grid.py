@@ -25,12 +25,23 @@ from kvhsim.grid import (
     l1_norm,
     l2_norm,
     rk4_steps,
+    spectral_ik,
     time_steps,
 )
 
 
 def make_grid(n=64, bc=PERIODIC, lo=-np.pi, hi=np.pi):
     return PhaseGrid(lo, hi, lo, hi, n, n, bc)
+
+
+def ik_q(g):
+    """i k of the grid's q axis, broadcast along axis 0."""
+    return spectral_ik(g.n_q, g.dq)[:, None]
+
+
+def ik_p(g):
+    """i k of the grid's p axis, broadcast along axis 1."""
+    return spectral_ik(g.n_p, g.dp)[None, :]
 
 
 class TestConstruction:
@@ -106,6 +117,8 @@ class TestDerivatives:
             out = np.empty_like(values)
             assert deriv(values, out=out) is out
             assert np.array_equal(out, deriv(values))
+            # without `out`, ddp of a complex field transposes its product back
+            assert deriv(values).flags.c_contiguous
 
     # an axis above grid._MATRIX_AXIS_MAX = 64 nodes is differentiated by the
     # stencil or the transform, a shorter one by its dense matrix
@@ -144,7 +157,7 @@ class TestDerivatives:
         rng = np.random.default_rng(6)
         fields = [rng.standard_normal(shape), np.exp(np.sin(g.Q) + np.cos(2 * g.P))]
         for values in fields:
-            for deriv, ik, axis in ((g.ddq, g._ikq, 0), (g.ddp, g._ikp, 1)):
+            for deriv, ik, axis in ((g.ddq, ik_q(g), 0), (g.ddp, ik_p(g), 1)):
                 expected = np.fft.ifft(ik * np.fft.fft(values, axis=axis), axis=axis).real
                 assert np.array_equal(deriv(values), expected)
                 out = np.empty_like(values)
@@ -221,8 +234,16 @@ class TestMatrixAxes:
     def test_cached_arrays_are_read_only(self):
         # every derivative on the grid shares them
         g = PhaseGrid(-2, 2, -3, 3, 9, 12)
-        for cached in (g._ikq, g._ikp, g._q_matrix, g._p_matrix_t, g._p_matrix_t_complex):
+        for cached in (
+            ik_q(g), ik_p(g), derivative_matrix(g.n_q, g.dq, g.bc), derivative_matrix(g.n_p, g.dp, g.bc).T
+        ):
             assert not cached.flags.writeable
+
+    def test_spectral_ik_is_cached_and_read_only(self):
+        ik = spectral_ik(12, 0.25)
+        assert spectral_ik(12, 0.25) is ik
+        assert spectral_ik(12, 0.5) is not ik
+        assert not ik.flags.writeable
 
     def test_building_an_fd4_matrix_keeps_the_field_scratch(self):
         # the scratch cache holds 8 shapes: nine matrix builds must leave the
@@ -240,18 +261,20 @@ class TestMatrixAxes:
         with pytest.raises(GridError, match="dirichlet"):
             derivative_matrix(8, 0.1, "dirichlet")
 
-    @pytest.mark.parametrize("shape", [(64, 64), (24, 20), (7, 9)])
+    # on the last four shapes a complex product with the matrix cast to
+    # complex rounds complex ∂p differently
+    @pytest.mark.parametrize("shape", [(64, 64), (24, 20), (7, 9), (17, 17), (34, 34), (61, 50), (33, 64)])
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("bc", [PERIODIC, FD4])
     def test_derivative_is_the_matrix_product_byte_for_byte(self, bc, dtype, shape):
-        # along q a complex field is multiplied as its real view; along p by
-        # the complex transposed matrix
+        # a complex field is multiplied as its real view: along q as it is,
+        # along p as the transposed field
         g = PhaseGrid(-2, 2, -3, 3, *shape, bc)
         values = random_field(shape, dtype, 5)
         mq, mp = derivative_matrix(g.n_q, g.dq, bc), derivative_matrix(g.n_p, g.dp, bc)
         if dtype is complex:
             eq = (mq @ values.view(float)).view(complex)
-            ep = values @ mp.T.astype(complex)
+            ep = (mp @ np.ascontiguousarray(values.T).view(float)).view(complex).T
         else:
             eq, ep = mq @ values, values @ mp.T
         for deriv, expected in ((g.ddq, eq), (g.ddp, ep)):
@@ -272,7 +295,7 @@ class TestMatrixAxes:
         g = PhaseGrid(-2, 2, -3, 3, *shape, bc)
         fields = [random_field(shape, dtype, 8), np.exp(np.sin(g.Q) + np.cos(2 * g.P)).astype(dtype)]
         for values in fields:
-            for deriv, axis, n, h, ik in ((g.ddq, 0, g.n_q, g.dq, g._ikq), (g.ddp, 1, g.n_p, g.dp, g._ikp)):
+            for deriv, axis, n, h, ik in ((g.ddq, 0, g.n_q, g.dq, ik_q(g)), (g.ddp, 1, g.n_p, g.dp, ik_p(g))):
                 d = deriv(values)
                 transform = _spectral_1d(values, ik, axis) if bc == PERIODIC else _fd4_1d(values, h, axis)
                 product = np.moveaxis(np.tensordot(derivative_matrix(n, h, bc), values, axes=(1, axis)), 0, axis)
@@ -286,7 +309,7 @@ class TestMatrixAxes:
         g = PhaseGrid(-2, 2, -3, 3, 64, 64, bc)
         values = random_field((64, 64), float, 3)
         monkeypatch.setattr(grid_module, "_MATRIX_AXIS_MAX", 63)
-        for deriv, axis, h, ik in ((g.ddq, 0, g.dq, g._ikq), (g.ddp, 1, g.dp, g._ikp)):
+        for deriv, axis, h, ik in ((g.ddq, 0, g.dq, ik_q(g)), (g.ddp, 1, g.dp, ik_p(g))):
             expected = _spectral_1d(values, ik, axis) if bc == PERIODIC else _fd4_1d(values, h, axis)
             assert np.array_equal(deriv(values), expected)
 

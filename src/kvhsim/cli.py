@@ -559,6 +559,8 @@ def run_command(args) -> int:
             cfg = replace(cfg, **overrides)
         cfg = apply_scenario_defaults(cfg)
         ctx = RunContext(cfg)
+        # an overflowing step count is refused here, before any check runs
+        dt_effective = time_steps(cfg.t_final, cfg.dt)[1]
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -594,7 +596,7 @@ def run_command(args) -> int:
         f"hamiltonian = {ctx.H.name}",
         f"t_final = {cfg.t_final!r}",
         f"dt = {cfg.dt!r}",
-        f"dt_effective = {time_steps(cfg.t_final, cfg.dt)[1]!r}",
+        f"dt_effective = {dt_effective!r}",
         f"scheme = rk4",
         f"seed = {cfg.seed}",
         f"grid = {cfg.n_q}x{cfg.n_p} [{cfg.q_min},{cfg.q_max}]x[{cfg.p_min},{cfg.p_max}] {cfg.bc}",

@@ -434,7 +434,8 @@ def time_steps(t_final: float, dt: float):
 
     t_final = 0 gives no steps. A negative or non-finite t_final, or a dt
     that is not a positive finite number, raises ValueError: the solvers
-    built on this step forward only, over a finite horizon.
+    built on this step forward only, over a finite horizon. A dt so small
+    that t_final / dt overflows raises GridError.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt = {dt!r} must be positive and finite")
@@ -444,7 +445,10 @@ def time_steps(t_final: float, dt: float):
         raise ValueError(f"t_final = {t_final!r} is negative; evolution runs forward only")
     if t_final == 0:
         return 0, dt
-    n = max(1, int(round(t_final / dt)))
+    ratio = t_final / dt
+    if not np.isfinite(ratio):
+        raise GridError(f"dt = {dt!r} is too small: t_final / dt = {t_final!r} / {dt!r} overflows")
+    n = max(1, int(round(ratio)))
     return n, t_final / n
 
 

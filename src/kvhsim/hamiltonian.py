@@ -1,8 +1,10 @@
 """Classical Hamiltonians and derived geometric objects.
 
-Hamiltonians carry closed-form first and second partials so that
-characteristics-based oracles can be evaluated off-grid without any
-dependence on the field discretization.
+Hamiltonians carry closed-form first partials, so that characteristics-based
+oracles can be evaluated off-grid without any dependence on the field
+discretization. Nothing differentiates H twice: the one-form transport
+residual takes its Lie derivative by Cartan's formula from the first
+partials.
 """
 
 from __future__ import annotations
@@ -46,20 +48,13 @@ def central_gradient(f, q, p):
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Classical Hamiltonian with closed-form first and second partials.
-
-    The second partials h_qq / h_qp / h_pp serve the consumers that
-    differentiate the Hamiltonian vector field (the one-form transport
-    residual).
-    """
+    """Classical Hamiltonian h with its closed-form first partials h_q and
+    h_p, checked against central differences of h when built."""
 
     name: str
     h: Func2
     h_q: Func2
     h_p: Func2
-    h_qq: Func2
-    h_qp: Func2
-    h_pp: Func2
 
     def __post_init__(self):
         # the supplied first partials must match central differences of h
@@ -141,9 +136,6 @@ class PolynomialHamiltonian(HamiltonianSpec):
             h=lambda q, p: _poly_eval(coeffs, q, p),
             h_q=lambda q, p: _poly_eval(dq, q, p),
             h_p=lambda q, p: _poly_eval(dp, q, p),
-            h_qq=lambda q, p: _poly_eval(_poly_diff(dq, "q"), q, p),
-            h_qp=lambda q, p: _poly_eval(_poly_diff(dq, "p"), q, p),
-            h_pp=lambda q, p: _poly_eval(_poly_diff(dp, "p"), q, p),
         )
 
     def poisson_with(self, other: "PolynomialHamiltonian") -> "PolynomialHamiltonian":
@@ -160,9 +152,6 @@ def _pendulum() -> HamiltonianSpec:
         h=lambda q, p: 0.5 * p**2 - np.cos(q),
         h_q=lambda q, p: np.sin(q) + 0.0 * p,
         h_p=lambda q, p: p + 0.0 * q,
-        h_qq=lambda q, p: np.cos(q) + 0.0 * p,
-        h_qp=lambda q, p: np.zeros(np.broadcast(q, p).shape),
-        h_pp=lambda q, p: np.ones(np.broadcast(q, p).shape),
     )
 
 

@@ -21,7 +21,7 @@ from .grid import (
     rk4_steps,
     time_steps,
 )
-from .hamiltonian import HamiltonianSpec, OneForm, coefficient_fields, self_broadcast
+from .hamiltonian import HamiltonianSpec, OneForm, coefficient_fields
 from .kvh import WaveFunction
 
 
@@ -113,26 +113,14 @@ def _polar_stream(pair: PolarPair, gS: PhaseGrid, gD: PhaseGrid | None, H, t_fin
         yield t, PolarPair(ScalarField(gS, S.copy()), D_t)
 
 
-def _lie_coefficients(H: HamiltonianSpec, g: PhaseGrid):
-    """(dH/dq, dH/dp) on the grid, so X_H = (dH/dp, -dH/dq), and the Jacobian
-    rows of X_H ((d_q Xq, d_q Xp), (d_p Xq, d_p Xp))."""
-    a, b, _ = coefficient_fields(H, g)
-    h_qq = self_broadcast(H.h_qq(g.Q, g.P), g)
-    h_qp = self_broadcast(H.h_qp(g.Q, g.P), g)
-    h_pp = self_broadcast(H.h_pp(g.Q, g.P), g)
-    return a, b, ((h_qp, -h_qq), (h_pp, -h_qp))
-
-
-def _lie_derivative_one_form(tau_q, tau_p, coeffs, g: PhaseGrid):
-    """Coordinate formula (£_X tau)_i = X·grad(tau_i) + tau_j d_i X^j for X = X_H,
-    with the advection X_H·grad(tau_i) = -{H, tau_i}; each sum is rounded
-    left to right as written.
+def _lie_derivative(tau_q, tau_p, a, b, g: PhaseGrid):
+    """£_X tau for X = X_H and tau = dS - A, by Cartan's formula
+    £_X = i_X d + d i_X: d tau = -dA = dq∧dp and i_X(dq∧dp) = dH = (a, b),
+    so £_X tau = (a, b) + d(i_X tau) with i_X tau = tau_q b - tau_p a.
+    Takes the first partials a = dH/dq, b = dH/dp and two grid derivatives.
     """
-    a, b, jacobian = coeffs
-    return tuple(
-        -g.bracket(a, b, tau) + tau_q * dXq + tau_p * dXp
-        for tau, (dXq, dXp) in zip((tau_q, tau_p), jacobian)
-    )
+    G = tau_q * b - tau_p * a
+    return a + g.ddq(G), b + g.ddp(G)
 
 
 def one_form_transport_residual(stream, H: HamiltonianSpec):
@@ -144,13 +132,13 @@ def one_form_transport_residual(stream, H: HamiltonianSpec):
     stream is read once: only the one-forms of three neighboring snapshots
     are held at a time, never the snapshots themselves.
     """
-    coeffs = None
+    a = b = None
     window = []  # (t, tau_q, tau_p) of at most three neighboring snapshots
     out = []
     for t, pair in stream:
         g = pair.S.grid
-        if coeffs is None:
-            coeffs = _lie_coefficients(H, g)
+        if a is None:
+            a, b = coefficient_fields(H, g)[:2]
         del window[:-2]
         window.append((t, g.ddq(pair.S.values) - g.P, g.ddp(pair.S.values)))
         if len(window) < 3:
@@ -159,7 +147,7 @@ def one_form_transport_residual(stream, H: HamiltonianSpec):
         dt_c = t_next - t_prev
         dtau_q = (nxt[0] - prev[0]) / dt_c
         dtau_p = (nxt[1] - prev[1]) / dt_c
-        lie_q, lie_p = _lie_derivative_one_form(cur[0], cur[1], coeffs, g)
+        lie_q, lie_p = _lie_derivative(cur[0], cur[1], a, b, g)
         res = np.sqrt(
             ((dtau_q + lie_q) ** 2 + (dtau_p + lie_p) ** 2).sum() * g.dq * g.dp
         )

@@ -5,6 +5,9 @@ another way, and no library code calls it:
 
 - `bracket_density`, the momentum map to densities in its bracket form,
   against `madelung.classical_density`;
+- `lie_derivative_coordinates`, the Lie derivative of a one-form along X_H
+  by the coordinate formula, from closed-form second partials, against the
+  first-partial Cartan form in `madelung.one_form_transport_residual`;
 - `evolve_spectral`, spectral RK4 stepping of the Liouville equation,
   against the semi-Lagrangian `liouville.evolve_pushforward`;
 - `quantum_energy`, the energy that `qhd.schrodinger_evolve` conserves;
@@ -39,6 +42,19 @@ def bracket_density(psi: WaveFunction) -> ScalarField:
     bracket = g.bracket(g.ddq(v), g.ddp(v), np.conj(v))
     rho = abssq + g.ddp(g.P * abssq) + 1j * psi.hbar * bracket
     return ScalarField(g, np.real(rho))
+
+
+def lie_derivative_coordinates(tau_q, tau_p, H: HamiltonianSpec, hessian, g: PhaseGrid):
+    """(£_X tau)_i = X·grad(tau_i) + tau_j ∂_i X^j for X = X_H = (h_p, -h_q),
+    with X·grad(tau_i) = -{H, tau_i} and the Jacobian of X_H from the second
+    partials hessian = (h_qq, h_qp, h_pp), callables of (q, p)."""
+    a, b, _ = coefficient_fields(H, g)
+    h_qq, h_qp, h_pp = (np.broadcast_to(f(g.Q, g.P), g.Q.shape) for f in hessian)
+    jacobian = ((h_qp, -h_qq), (h_pp, -h_qp))  # rows (∂_q X, ∂_p X)
+    return tuple(
+        -g.bracket(a, b, tau) + tau_q * dXq + tau_p * dXp
+        for tau, (dXq, dXp) in zip((tau_q, tau_p), jacobian)
+    )
 
 
 def evolve_spectral(

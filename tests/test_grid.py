@@ -536,6 +536,12 @@ class TestTimeSteps:
             with pytest.raises(ValueError, match="positive and finite"):
                 time_steps(t_final, dt)
 
+    def test_step_count_overflow_is_a_grid_error(self):
+        # t_final / dt overflows to inf, which has no step count; a GridError
+        # is a ValueError, and the CLI reports it as a configuration error
+        with pytest.raises(GridError, match="dt = 1e-320 is too small"):
+            time_steps(1.0, 1e-320)
+
     @given(
         t=st.floats(1e-3, 1e3, allow_nan=False),
         dt=st.floats(1e-5, 1.0, allow_nan=False),

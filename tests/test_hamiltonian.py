@@ -45,7 +45,7 @@ class TestLibrary:
     def test_pendulum_partials_consistent(self):
         # construction runs the finite-difference self-check
         H = scenario_hamiltonian("pendulum")
-        assert H.h_pp(0.0, 0.0) == pytest.approx(1.0)
+        assert H.h_p(0.0, 1.5) == pytest.approx(1.5)
 
     def test_bad_partials_rejected(self):
         with pytest.raises(HamiltonianError):
@@ -54,9 +54,6 @@ class TestLibrary:
                 h=lambda q, p: q**2,
                 h_q=lambda q, p: 3 * q,  # wrong
                 h_p=lambda q, p: 0.0 * q,
-                h_qq=lambda q, p: 2.0 + 0.0 * q,
-                h_qp=lambda q, p: 0.0 * q,
-                h_pp=lambda q, p: 0.0 * q,
             )
 
     def test_building_hamiltonians_imports_no_random_generator(self):
@@ -86,9 +83,6 @@ class TestLibrary:
                 h=lambda q, p: p**4,
                 h_q=lambda q, p: 0.0 * q,
                 h_p=lambda q, p: 4 * p**3 * (np.abs(p) < 2),  # wrong for |p| >= 2
-                h_qq=lambda q, p: 0.0 * q,
-                h_qp=lambda q, p: 0.0 * q,
-                h_pp=lambda q, p: 12 * p**2,
             )
 
 

@@ -242,6 +242,10 @@ class TestCommandLine:
             ("", "", ("--t-final", "inf"), ""),
             ("", "", ("--dt", "nan"), ""),
             ("", "", ("--dt", "inf"), ""),
+            # t_final / dt overflows; refused before any check runs, also
+            # before one that never reads dt (transport has its own step)
+            ("", "", ("--dt", "1e-320"), "dt = 1e-320 is too small"),
+            ("", "", ("--dt", "1e-320", "--check", "transport"), "dt = 1e-320 is too small"),
             ("", "q_min = nan", (), "domain bounds must be finite"),
             ("", "q_max = inf", (), "domain bounds must be finite"),
             ("", "[hamiltonian.coeffs]\n2_0 = nan", (), "coefficient of q^2 p^0 must be finite"),
@@ -254,6 +258,7 @@ class TestCommandLine:
         ],
         ids=["bc", "hamiltonian", "bounds", "run-key", "grid-key", "section",
              "hbar-nan", "t-final-nan", "t-final-inf", "dt-nan", "dt-inf",
+             "dt-overflow", "dt-overflow-transport",
              "q-min-nan", "q-max-inf", "coeff-nan", "coeff-key", "tolerance-nan",
              "tolerance-inf", "tolerance-negative", "tolerance-minus-inf", "stride-negative"],
     )

@@ -26,14 +26,13 @@ from kvhsim.hamiltonian import HamiltonianSpec, coefficient_fields, scenario_ham
 from kvhsim.kvh import gaussian_wavepacket, kvh_energy
 from kvhsim.madelung import (
     PolarPair,
-    _lie_coefficients,
-    _lie_derivative_one_form,
+    _lie_derivative,
     classical_density,
     evolve_polar,
     hydro_from_wavefunction,
     one_form_transport_residual,
 )
-from reference import bracket_density
+from reference import bracket_density, lie_derivative_coordinates
 
 
 @pytest.fixture
@@ -127,8 +126,8 @@ class TestPolarEvolution:
 
     def test_transport_residual_holds_three_one_forms(self, traced_peak):
         # 201 snapshots on 64², as in the transport check: the working set is
-        # the Lie coefficients, three one-forms and the residual's temporaries
-        # (27 fields), never one one-form per snapshot (424 fields)
+        # the partials (a, b), three one-forms and the residual's temporaries
+        # (21 fields), never one one-form per snapshot (424 fields)
         g = PhaseGrid(-8, 8, -8, 8, 64, 64)
         S = 0.3 * g.Q - 0.2 * g.P + 0.05 * g.Q * g.P
         times = [k * 2.5e-4 for k in range(201)]
@@ -190,16 +189,27 @@ class TestPolarEvolution:
         with pytest.raises(GridMismatchError, match="different nodes"):
             evolve_polar(PolarPair(pair.S, D), scenario_hamiltonian("harmonic"), 0.01, 1e-3)
 
-    def test_second_partials_required(self):
-        # the one-form transport residual differentiates X_H, so a
-        # Hamiltonian without its second partials cannot be built
-        with pytest.raises(TypeError, match="'h_qq', 'h_qp', and 'h_pp'"):
-            HamiltonianSpec(
-                name="no2nd",
-                h=lambda q, p: 0.5 * p**2,
-                h_q=lambda q, p: 0.0 * q,
-                h_p=lambda q, p: p + 0.0 * q,
-            )
+    def test_first_partials_suffice(self):
+        # a non-polynomial H given by its value and first partials alone,
+        # sqrt(1 + p²) + q²/2, drives the polar solve and the transport
+        # residual on FD4 stencils; the residual is FD4 truncation, 2.8e-3
+        # at 48² and 1.9e-4 at 96² on ±6, and falls as h^4
+        H = HamiltonianSpec(
+            name="relativistic",
+            h=lambda q, p: np.sqrt(1 + p**2) + 0.5 * q**2,
+            h_q=lambda q, p: q + 0.0 * p,
+            h_p=lambda q, p: p / np.sqrt(1 + p**2) + 0.0 * q,
+        )
+
+        def residual(n):
+            g = PhaseGrid(-6, 6, -6, 6, n, n, FD4)
+            S0 = ScalarField(g, 0.3 * g.Q - 0.2 * g.P + 0.05 * g.Q * g.P)
+            stream = evolve_polar(PolarPair(S0, None), H, 0.05, 2.5e-4, stride=1)
+            res = one_form_transport_residual(stream, H)
+            assert len(res) == 199
+            return max(res)
+
+        assert residual(48) / residual(96) > 12.0
 
 
 def test_harmonic_reference_stays_on_the_64_grid(monkeypatch):
@@ -258,25 +268,47 @@ def test_phase_alone_evolves_as_beside_the_density():
     assert one_form_transport_residual(zip(times_s, snaps_s), H) == one_form_transport_residual(zip(times, snaps), H)
 
 
-def cartan_defect(name, n, bc):
-    """Max defect of Cartan's formula: the Lie derivative of dF along X_H
-    is d(X_H·grad F), for a Gaussian F well inside a box of n x n nodes."""
-    g = PhaseGrid(-6, 6, -6, 6, n, n, bc)
-    F = np.exp(-((g.Q - 0.3) ** 2) - (g.P + 0.2) ** 2)
-    F_q, F_p = -2 * (g.Q - 0.3) * F, -2 * (g.P + 0.2) * F
-    coeffs = _lie_coefficients(scenario_hamiltonian(name), g)
-    a, b, _ = coeffs
-    G = b * F_q - a * F_p
-    lie_q, lie_p = _lie_derivative_one_form(F_q, F_p, coeffs, g)
-    return max(np.max(np.abs(lie_q - g.ddq(G))), np.max(np.abs(lie_p - g.ddp(G))))
+# closed-form second partials (h_qq, h_qp, h_pp) of each scenario H, which
+# only the coordinate formula of the reference needs
+SECOND_PARTIALS = {
+    "harmonic": (lambda q, p: 1.0, lambda q, p: 0.0, lambda q, p: 1.0),
+    "quartic": (lambda q, p: 3 * q**2, lambda q, p: 0.0, lambda q, p: 1.0),
+    "pendulum": (lambda q, p: np.cos(q), lambda q, p: 0.0, lambda q, p: 1.0),
+}
+
+
+def lie_gap(name, n, S):
+    """Largest gap between the Cartan form of the residual's Lie derivative
+    and the coordinate formula, for tau = dS - A on an n x n FD4 box."""
+    g = PhaseGrid(-6, 6, -6, 6, n, n, FD4)
+    H = scenario_hamiltonian(name)
+    S = S(g.Q, g.P)
+    tau_q, tau_p = g.ddq(S) - g.P, g.ddp(S)
+    a, b, _ = coefficient_fields(H, g)
+    lie = _lie_derivative(tau_q, tau_p, a, b, g)
+    ref = lie_derivative_coordinates(tau_q, tau_p, H, SECOND_PARTIALS[name], g)
+    return max(np.max(np.abs(x - y)) for x, y in zip(lie, ref))
+
+
+@pytest.mark.parametrize("name", ["harmonic", "quartic"])
+def test_lie_derivative_matches_coordinate_formula(name):
+    # for a quadratic S every field either form differentiates is a
+    # polynomial of degree at most 4, which FD4 differentiates exactly: the
+    # two agree to round-off, 3.4e-12 (harmonic) and 8.5e-11 (quartic)
+    assert lie_gap(name, 96, lambda q, p: 0.3 * q - 0.2 * p + 0.05 * q * p + 0.1 * q**2) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["harmonic", "quartic", "pendulum"])
-def test_lie_derivative_of_exact_form_is_exact(name):
-    # F is at round-off on the box edge, so spectral derivatives are exact
-    assert cartan_defect(name, 96, PERIODIC) < 1e-9
+def test_lie_derivative_agrees_with_coordinate_formula_at_fourth_order(name):
+    # the two forms differ by FD4 truncation: the gap falls as h^4
+    def S(q, p):
+        return np.exp(-((q - 0.3) ** 2) - (p + 0.2) ** 2) + 0.3 * q - 0.2 * p
+
+    assert lie_gap(name, 96, S) / lie_gap(name, 192, S) > 12.0
 
 
-@pytest.mark.parametrize("name", ["harmonic", "quartic", "pendulum"])
-def test_lie_derivative_fd4_converges_at_fourth_order(name):
-    assert cartan_defect(name, 96, FD4) / cartan_defect(name, 192, FD4) > 12.0
+@pytest.mark.parametrize("scenario", ["harmonic-kvh", "free-kvh", "point-particle", "qhd-coherent"])
+def test_transport_check_passes_at_scenario_defaults(tmp_path, scenario):
+    argv = ["run", "--scenario", scenario, "--check", "transport", "--outdir", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+    assert "transport_residual.status = pass" in (tmp_path / "o" / "report").read_text()

@@ -387,15 +387,16 @@ def spline_taps(coords, shape) -> tuple:
     return tuple(reversed(taps))
 
 
-def apply_taps(taps: tuple, values: np.ndarray, axis: int = 0) -> np.ndarray:
+def apply_taps(taps: tuple, values: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
     """Σ_t weight_t · values[index_t] along `axis`: W applied to that axis of
     `values`, one tap at a time, with no gather of all taps at once. Each
     tap's flat index and weight are formed from the per-axis taps of
-    `spline_taps`, the first axis major."""
+    `spline_taps`, the first axis major. The sum is written into `out` when
+    given, bit for bit what a call without it returns."""
     shape = [-1 if i == axis else 1 for i in range(values.ndim)]
     index = np.empty_like(taps[0][0][0])
     weight = np.empty_like(taps[0][1][0])
-    out = term = None
+    term = None
     for tap in itertools.product(*(zip(*axis_taps) for axis_taps in taps)):
         (first_index, first_weight), *rest = tap
         np.copyto(index, first_index)
@@ -403,30 +404,59 @@ def apply_taps(taps: tuple, values: np.ndarray, axis: int = 0) -> np.ndarray:
         for axis_index, axis_weight in rest:
             index += axis_index
             weight *= axis_weight
-        if out is None:
-            out = np.take(values, index, axis=axis)
+        if term is None:
+            # indices are in range; mode "clip" lets `take` write `out` unbuffered
+            out = np.take(values, index, axis=axis, out=out, mode="clip")
             out *= weight.reshape(shape)
             term = np.empty_like(out)
         else:
-            # indices are in range; mode "clip" lets `take` write `term` unbuffered
             np.take(values, index, axis=axis, out=term, mode="clip")
             term *= weight.reshape(shape)
             out += term
     return out
 
 
+# `interpolate` forms the taps of at most this many points at a time. The
+# taps take 128 B a point, so beyond the coefficients and the output its
+# working set stops growing with the point count. 4,096 points are the nodes
+# of a 64² grid, the default, whose pullbacks stay one block and allocate
+# what an unblocked call does.
+_TAP_BLOCK = 4096
+
+
 def interpolate(values: np.ndarray, coords) -> np.ndarray:
     """Periodic cubic spline of `values` at fractional node indices `coords`
     (one row per axis): W applied to the coefficients P values, so 4 taps per
-    point in 1-D and 16 in 2-D. Real and complex fields alike."""
+    point in 1-D and 16 in 2-D. Real and complex fields alike.
+
+    The coefficients are formed once; the taps of _TAP_BLOCK points at a
+    time, each block summed into its slice of the output. The output is
+    allocated after the first block's taps, where an unblocked call
+    allocated it; no points still make one (empty) block.
+    """
     coords = np.asarray(coords, dtype=float)
     coeffs = spline_prefilter(values, tuple(range(values.ndim))).reshape(-1)
-    return apply_taps(spline_taps(coords, values.shape), coeffs).reshape(coords.shape[1:])
+    points = coords.reshape(len(coords), -1)
+    out = None
+    for start in range(0, max(points.shape[1], 1), _TAP_BLOCK):
+        block = slice(start, start + _TAP_BLOCK)
+        taps = spline_taps(points[:, block], values.shape)
+        if out is None:
+            out = np.empty(points.shape[1], coeffs.dtype)
+        apply_taps(taps, coeffs, out=out[block])
+        del taps  # freed before the next block's are formed
+    return out.reshape(coords.shape[1:])
 
 
 def interpolate_field(f: ScalarField, q, p) -> np.ndarray:
     """f at the phase-space points (q, p), by periodic bicubic interpolation."""
     return interpolate(f.values, f.grid.node_coords(q, p))
+
+
+# the most steps `time_steps` grants: an RK4 step of one flowed point or of
+# a 16² field takes 60–70 µs (2-vCPU Xeon VM), so 10**9 steps take about 17
+# hours, and a larger count is a mistyped dt, refused before it runs
+_MAX_STEPS = 10**9
 
 
 def time_steps(t_final: float, dt: float):
@@ -435,7 +465,8 @@ def time_steps(t_final: float, dt: float):
     t_final = 0 gives no steps. A negative or non-finite t_final, or a dt
     that is not a positive finite number, raises ValueError: the solvers
     built on this step forward only, over a finite horizon. A dt so small
-    that t_final / dt overflows raises GridError.
+    that t_final / dt overflows, or that takes more than 10**9 steps,
+    raises GridError.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt = {dt!r} must be positive and finite")
@@ -449,6 +480,8 @@ def time_steps(t_final: float, dt: float):
     if not np.isfinite(ratio):
         raise GridError(f"dt = {dt!r} is too small: t_final / dt = {t_final!r} / {dt!r} overflows")
     n = max(1, int(round(ratio)))
+    if n > _MAX_STEPS:
+        raise GridError(f"t_final = {t_final!r} at dt = {dt!r} takes {ratio:.3g} steps, more than 10**9")
     return n, t_final / n
 
 

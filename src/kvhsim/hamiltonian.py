@@ -283,7 +283,8 @@ class Characteristics:
         if self.t == 0:
             return f.copy()
         values = interpolate_field(f, self.q0, self.p0)
-        return ScalarField(f.grid, np.where(self.exited, 0.0, values))
+        np.copyto(values, 0.0, where=self.exited)
+        return ScalarField(f.grid, values)
 
     def phase(self, hbar: float) -> np.ndarray:
         """exp(-i action / ħ) at every node: one at t = 0 and at exited nodes."""

@@ -91,10 +91,14 @@ def hermitian_inner(psi1: WaveFunction, psi2: WaveFunction) -> complex:
     return complex(psi1.grid.integrate_values(np.conj(psi1.field.values) * psi2.field.values))
 
 
-def apply_prequantum(H: HamiltonianSpec, psi: WaveFunction) -> WaveFunction:
-    """Covariant Liouvillian: iħ {H, Ψ} - L_H Ψ."""
+def apply_prequantum(H: HamiltonianSpec, psi: WaveFunction, coefficients=None) -> WaveFunction:
+    """Covariant Liouvillian: iħ {H, Ψ} - L_H Ψ.
+
+    coefficients: (dH/dq, dH/dp, L_H) of `coefficient_fields` on psi's grid,
+    sampled here when not given.
+    """
     grid = psi.grid
-    a, b, lh = coefficient_fields(H, grid)
+    a, b, lh = coefficient_fields(H, grid) if coefficients is None else coefficients
     values = 1j * psi.hbar * grid.bracket(a, b, psi.field.values) - lh * psi.field.values
     return WaveFunction(ScalarField(grid, values), psi.hbar)
 
@@ -157,7 +161,7 @@ def evolve(
         traj.times.append(t)
         traj.norms.append(psi.norm())
         if record_energy:
-            traj.energies.append(kvh_energy(H, psi))
+            traj.energies.append(kvh_energy(H, psi, (a, b, lh)))
 
     state = (psi0.field.values.astype(complex),)
     initial = WaveFunction(ScalarField(grid, state[0].copy()), hbar)
@@ -187,9 +191,10 @@ def characteristics_oracle(psi0: WaveFunction, ch: Characteristics) -> WaveFunct
     return WaveFunction(ScalarField(psi0.grid, values), psi0.hbar)
 
 
-def kvh_energy(H: HamiltonianSpec, psi: WaveFunction) -> float:
-    """h(Ψ) = <Ψ| L̂_H Ψ>; real up to Hermiticity round-off."""
-    return hermitian_inner(psi, apply_prequantum(H, psi)).real
+def kvh_energy(H: HamiltonianSpec, psi: WaveFunction, coefficients=None) -> float:
+    """h(Ψ) = <Ψ| L̂_H Ψ>; real up to Hermiticity round-off. `coefficients`
+    as for `apply_prequantum`."""
+    return hermitian_inner(psi, apply_prequantum(H, psi, coefficients)).real
 
 
 def commutator_residual(H: HamiltonianSpec, F: HamiltonianSpec, psi: WaveFunction) -> float:

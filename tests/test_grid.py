@@ -18,6 +18,7 @@ from kvhsim.grid import (
     ScalarField,
     _fd4_1d,
     _spectral_1d,
+    apply_taps,
     derivative_matrix,
     divergence,
     integrate,
@@ -26,6 +27,8 @@ from kvhsim.grid import (
     l2_norm,
     rk4_steps,
     spectral_ik,
+    spline_prefilter,
+    spline_taps,
     time_steps,
 )
 
@@ -449,6 +452,40 @@ class TestInterpolation:
         np.testing.assert_allclose(interpolate(values, coords), self.reference(values, coords),
                                    rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_blocks_sum_what_all_points_at_once_do(self, dtype):
+        # 10,000 points are two full blocks of taps and a ragged third
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((128, 128))
+        if dtype is complex:
+            values = values + 1j * rng.standard_normal((128, 128))
+        coords = rng.uniform(-40, 170, (2, 100, 100))
+        at_once = apply_taps(spline_taps(coords, values.shape), spline_prefilter(values, (0, 1)).reshape(-1))
+        got = interpolate(values, coords)
+        assert got.dtype == values.dtype and got.shape == (100, 100)
+        assert np.array_equal(got, at_once.reshape(100, 100))
+
+    def test_working_set_does_not_grow_with_the_points(self, traced_peak):
+        # beyond the output and the coefficients, interpolate holds one
+        # block's taps whatever the point count; all points' taps at once
+        # would add 128 B for each of the 49,152 more points of 256², and
+        # two blocks' taps at once another 128 B for each point of a block
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        interpolate(values, np.zeros((2, 1)))  # numpy's and Python's first-call allocations
+
+        def beyond_output(m):
+            coords = rng.uniform(0, 64, (2, m, m))
+            out = []
+            peak = traced_peak(lambda: out.append(interpolate(values, coords)))
+            return peak - out[0].nbytes - values.nbytes
+
+        small, large = beyond_output(128), beyond_output(256)
+        # Python's and numpy's caches of small objects keep a few hundred
+        # bytes per block
+        assert abs(large - small) <= 16 * 1024
+        assert large < 2 * 128 * grid_module._TAP_BLOCK
+
 
 class TestBracketAndMeasure:
     # PhaseGrid.bracket(a, b, values) is {F, f} for a = ∂F/∂q, b = ∂F/∂p
@@ -535,6 +572,14 @@ class TestTimeSteps:
         for t_final in (0.0, 1.0):
             with pytest.raises(ValueError, match="positive and finite"):
                 time_steps(t_final, dt)
+
+    def test_step_count_is_bounded(self):
+        # 10**9 steps take most of a day; a count above that is refused, not run
+        assert time_steps(1.0, 1e-9) == (10**9, 1e-9)
+        with pytest.raises(GridError, match=r"t_final = 1.0 at dt = 1e-300 takes 1e\+300 steps"):
+            time_steps(1.0, 1e-300)
+        with pytest.raises(GridError, match="more than 10\\*\\*9"):
+            time_steps(2.0, 1e-9)
 
     def test_step_count_overflow_is_a_grid_error(self):
         # t_final / dt overflows to inf, which has no step count; a GridError

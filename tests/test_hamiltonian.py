@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kvhsim
-from kvhsim.grid import PhaseGrid
+from kvhsim.grid import PhaseGrid, ScalarField, interpolate_field
 from kvhsim.hamiltonian import (
     SCENARIO_NAMES,
     HamiltonianError,
     HamiltonianSpec,
     OneForm,
     PolynomialHamiltonian,
+    backward_characteristics,
     central_gradient,
     coefficient_fields,
     flow_map,
@@ -136,8 +137,6 @@ class TestGeometricObjects:
         assert lh[1, 1] == -4.0
 
     def test_one_form_grid_mismatch(self):
-        from kvhsim.grid import ScalarField
-
         g1 = PhaseGrid(-2, 2, -2, 2, 8, 8)
         g2 = PhaseGrid(-1, 1, -1, 1, 8, 8)
         with pytest.raises(HamiltonianError):
@@ -200,6 +199,25 @@ class TestFlows:
         assert np.isclose(p, p0, atol=1e-12)
         # L_H = p^2/2 along the trajectory
         assert np.isclose(a, t * p0**2 / 2, atol=1e-9)
+
+
+class TestPullback:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exited_nodes_are_zeroed(self, dtype):
+        # 72² nodes are more than one block of interpolation taps
+        g = PhaseGrid(-2, 2, -2, 2, 72, 72)
+        values = 2.0 + np.cos(g.Q) * np.sin(g.P)
+        if dtype is complex:
+            values = values * np.exp(1j * g.Q * g.P)
+        f = ScalarField(g, values)
+        kept = values.copy()
+        ch = backward_characteristics(scenario_hamiltonian("free"), g, 1.5, 1e-2)
+        out = ch.pullback(f).values
+        assert out.dtype == values.dtype and np.array_equal(f.values, kept)
+        assert ch.exited.any() and not ch.exited.all()
+        assert np.all(out[ch.exited] == 0)
+        inside = interpolate_field(f, ch.q0, ch.p0)[~ch.exited]
+        assert np.all(inside != 0) and np.array_equal(out[~ch.exited], inside)
 
 
 class TestDomainMask:

@@ -246,6 +246,8 @@ class TestCommandLine:
             # before one that never reads dt (transport has its own step)
             ("", "", ("--dt", "1e-320"), "dt = 1e-320 is too small"),
             ("", "", ("--dt", "1e-320", "--check", "transport"), "dt = 1e-320 is too small"),
+            # finite, but 1e300 steps: refused at once rather than run forever
+            ("", "", ("--dt", "1e-300"), "t_final = 1.0 at dt = 1e-300 takes 1e+300 steps"),
             ("", "q_min = nan", (), "domain bounds must be finite"),
             ("", "q_max = inf", (), "domain bounds must be finite"),
             ("", "[hamiltonian.coeffs]\n2_0 = nan", (), "coefficient of q^2 p^0 must be finite"),
@@ -258,7 +260,7 @@ class TestCommandLine:
         ],
         ids=["bc", "hamiltonian", "bounds", "run-key", "grid-key", "section",
              "hbar-nan", "t-final-nan", "t-final-inf", "dt-nan", "dt-inf",
-             "dt-overflow", "dt-overflow-transport",
+             "dt-overflow", "dt-overflow-transport", "dt-too-many-steps",
              "q-min-nan", "q-max-inf", "coeff-nan", "coeff-key", "tolerance-nan",
              "tolerance-inf", "tolerance-negative", "tolerance-minus-inf", "stride-negative"],
     )

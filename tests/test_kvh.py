@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kvhsim import kvh
 from kvhsim.grid import GridMismatchError, PhaseGrid, ScalarField, l2_norm
 from kvhsim.hamiltonian import (
     PolynomialHamiltonian,
@@ -132,6 +133,28 @@ class TestEvolution:
         assert len(every.times) == len(every.norms) == 101 and len(ends.times) == 2
         assert np.array_equal(every.initial.field.values, psi.field.values)
         assert np.array_equal(every.final().field.values, ends.final().field.values)
+
+    def test_recorded_energies_are_kvh_energy_bit_for_bit(self, monkeypatch):
+        # evolve records each snapshot's energy with the coefficients it
+        # samples once, by kvh_energy's formula and evaluation order; at
+        # dt = 2**-6 the run to k dt steps through the same states
+        g = PhaseGrid(-4, 4, -4, 4, 16, 16)
+        psi = gaussian_wavepacket(g, center=(0.5, 0.3), sigma=(0.7, 0.7), phase=lambda q, p: 0.3 * q)
+        H = scenario_hamiltonian("harmonic")
+        dt = 2.0**-6
+        sample, sampled = kvh.coefficient_fields, []
+
+        def counted(*args):
+            sampled.append(args)
+            return sample(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kvh, "coefficient_fields", counted)
+            traj = evolve(H, psi, 4 * dt, dt, stride=1)
+        assert len(sampled) == 1
+        snapshots = [psi] + [evolve(H, psi, k * dt, dt, record_energy=False).final() for k in (1, 2, 3, 4)]
+        assert traj.times == [k * dt for k in range(5)]
+        assert traj.energies == [kvh_energy(H, s) for s in snapshots]
 
     def test_cfl_warning(self, grid, psi):
         H = scenario_hamiltonian("harmonic")

@@ -272,9 +272,9 @@ def check_naturality(ctx: RunContext):
     ]
 
 
-def _polar_initial(ctx: RunContext, n_q: int, n_p: int) -> madelung.PolarPair:
-    """Smooth synthetic polar data on n_q x n_p nodes of the run's box:
-    quadratic phase, narrow Gaussian density.
+def _polar_initial(ctx: RunContext) -> madelung.PolarPair:
+    """Smooth synthetic polar data on the run's nodes: quadratic phase,
+    narrow Gaussian density.
 
     S is a non-periodic polynomial, so it lies on an FD4 grid, whose stencils
     and closures are exact up to degree 4. D is clear of the box edge, so it
@@ -282,43 +282,26 @@ def _polar_initial(ctx: RunContext, n_q: int, n_p: int) -> madelung.PolarPair:
     spectrally.
     """
     cfg = ctx.cfg
-    gS = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, n_q, n_p, FD4)
-    gD = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, n_q, n_p)
+    gS = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, cfg.n_q, cfg.n_p, FD4)
+    gD = PhaseGrid(cfg.q_min, cfg.q_max, cfg.p_min, cfg.p_max, cfg.n_q, cfg.n_p)
     S0 = ScalarField(gS, 0.3 * gS.Q - 0.2 * gS.P + 0.05 * gS.Q * gS.P)
     env = np.exp(-((gD.Q - 0.5) ** 2) / (2 * 0.8**2) - ((gD.P - 0.3) ** 2) / (2 * 0.8**2))
     D0 = ScalarField(gD, env / np.real(gD.integrate_values(env)))
     return madelung.PolarPair(S0, D0)
 
 
-def _edge_content(values: np.ndarray) -> float:
-    """Share of the L2 norm of a periodic field held by the wavenumbers |k| >=
-    n/2 - 1 of either axis: a measure of how far the grid is from resolving
-    the field."""
-    power = np.abs(np.fft.fft2(values)) ** 2
-    q_edge, p_edge = (np.abs(np.fft.fftfreq(n, 1 / n)) >= n // 2 - 1 for n in values.shape)
-    return float(np.sqrt(power[q_edge[:, None] | p_edge[None, :]].sum() / power.sum()))
-
-
 def check_madelung(ctx: RunContext):
-    # The polar pair and the wavefunction reference run on the same n² nodes,
-    # to the fixed comparison time t = 1. n is 64, unless the reference's edge
-    # modes there hold more than 1e-9 (a small ħ chirps the packet past 64²;
-    # the quartic and pendulum boxes cut it off unperiodically): then 192.
+    # the polar pair and the wavefunction reference, on the run's nodes to t = 1
     cfg = ctx.cfg
     t_cmp = 1.0
-    for n in (64, 192):
-        pair0 = _polar_initial(ctx, n, n)
-        g = pair0.D.grid
-        psi0 = np.sqrt(pair0.D.values) * np.exp(1j * pair0.S.values / cfg.hbar)
-        psi = kvh.WaveFunction(ScalarField(g, psi0), cfg.hbar)
-        psi_t = kvh.evolve(ctx.H, psi, t_cmp, cfg.dt, record_energy=False).final().field.values
-        if _edge_content(psi_t) <= 1e-9:
-            break
+    pair0 = _polar_initial(ctx)
+    g = pair0.D.grid
+    psi0 = np.sqrt(pair0.D.values) * np.exp(1j * pair0.S.values / cfg.hbar)
+    psi = kvh.WaveFunction(ScalarField(g, psi0), cfg.hbar)
+    psi_t = kvh.evolve(ctx.H, psi, t_cmp, cfg.dt, record_energy=False).final().field.values
     for _, pair_t in madelung.evolve_polar(pair0, ctx.H, t_cmp, cfg.dt):
         pass
-    recon = np.sqrt(np.maximum(pair_t.D.values, 0.0)) * np.exp(
-        1j * pair_t.S.values / cfg.hbar
-    )
+    recon = np.sqrt(np.maximum(pair_t.D.values, 0.0)) * np.exp(1j * pair_t.S.values / cfg.hbar)
     err = l2_norm(ScalarField(g, recon - psi_t))
     return [CheckResult("madelung_l2", err, cfg.tol("madelung_l2"))]
 
@@ -328,7 +311,7 @@ def check_transport(ctx: RunContext):
     # one-form carries O(domain-size) entries, so dt^2 truncation matters.
     # The residual reads S alone, so D is not evolved.
     cfg = ctx.cfg
-    phase0 = madelung.PolarPair(_polar_initial(ctx, cfg.n_q, cfg.n_p).S, None)
+    phase0 = madelung.PolarPair(_polar_initial(ctx).S, None)
     stream = madelung.evolve_polar(phase0, ctx.H, 0.05, 2.5e-4, stride=1)
     residuals = madelung.one_form_transport_residual(stream, ctx.H)
     return [CheckResult("transport_residual", max(residuals), cfg.tol("transport_residual"))]
@@ -473,10 +456,16 @@ CONFIG_KEYS = {
 CONFIG_SECTIONS = (*CONFIG_KEYS, "hamiltonian.coeffs", "tolerances")
 
 
+def _parse(section: str, key: str, value: str, parse):
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
     # [DEFAULT] keys would leak into every section; reject them as a section
     for section in parser.sections() + (["DEFAULT"] if parser.defaults() else []):
@@ -488,7 +477,7 @@ def load_config(path) -> RunConfig:
             for key, value in parser[section].items():
                 if key not in keys:
                     raise ConfigError(f"unknown key {key!r} in [{section}]; available: {list(keys)}")
-                kwargs[key] = keys[key](value)
+                kwargs[key] = _parse(section, key, value, keys[key])
     if parser.has_section("hamiltonian.coeffs"):
         coeffs = {}
         for key, value in parser["hamiltonian.coeffs"].items():
@@ -496,30 +485,26 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(
                     f"bad key {key!r} in [hamiltonian.coeffs]; expected i_j for the term q^i p^j"
                 )
-            i, j = (int(s) for s in key.split("_"))
-            coeffs[(i, j)] = float(value)
+            coeffs[tuple(int(s) for s in key.split("_"))] = _parse("hamiltonian.coeffs", key, value, float)
         kwargs["poly_coeffs"] = coeffs
     if parser.has_section("tolerances"):
-        kwargs["tolerances"] = {k: float(v) for k, v in parser["tolerances"].items()}
+        kwargs["tolerances"] = {k: _parse("tolerances", k, v, float) for k, v in parser["tolerances"].items()}
     return RunConfig(**kwargs)
 
 
 def apply_scenario_defaults(cfg: RunConfig) -> RunConfig:
-    """Fill unset fields from the scenario table (explicit config wins)."""
-    defaults = SCENARIOS[cfg.scenario]  # RunConfig rejects an unknown scenario
-    updates = {}
-    if not cfg.hamiltonian and not cfg.poly_coeffs:
-        updates["hamiltonian"] = defaults["hamiltonian"]
-    for key, value in defaults.items():
-        if key in ("hamiltonian",):
-            continue
-        if key in ("q_min", "q_max", "p_min", "p_max", "n_q", "n_p", "t_final", "dt"):
-            updates.setdefault(key, value)
-    # only apply domain/time defaults the user left at dataclass defaults
+    """Fill in the scenario's values of the RunConfig fields it names.
+
+    A field takes the scenario's value whenever it equals its `RunConfig`
+    default, set explicitly or not: `--t-final 1.0` on `harmonic-kvh` runs
+    to 2π (ROADMAP item 3). `[hamiltonian.coeffs]` keeps the scenario's
+    Hamiltonian out, as a `hamiltonian` does.
+    """
     base = RunConfig()
-    for key in list(updates):
-        if getattr(cfg, key) != getattr(base, key):
-            del updates[key]
+    updates = {key: value for key, value in SCENARIOS[cfg.scenario].items()
+               if hasattr(base, key) and getattr(cfg, key) == getattr(base, key)}
+    if cfg.poly_coeffs:
+        updates.pop("hamiltonian", None)
     return replace(cfg, **updates) if updates else cfg
 
 

@@ -207,6 +207,14 @@ class TestCommandLine:
             assert (out / name).exists()
         assert "overall = pass" in (out / "report").read_text()
 
+    def test_run_without_a_trajectory_writes_manifest_and_report_only(self, tmp_path):
+        # the field files and the conserved-quantity log belong to the run's
+        # trajectory; commutators evolves none
+        out = tmp_path / "run-out"
+        argv = ["run", "--scenario", "free-kvh", "--check", "commutators", "--outdir", str(out)]
+        assert cli.main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "report"]
+
     def test_manifest_records_requested_and_effective_dt(self, tmp_path):
         out = tmp_path / "run-out"
         argv = ["run", "--scenario", "free-kvh", "--check", "unitarity",
@@ -257,12 +265,20 @@ class TestCommandLine:
             ("", "[tolerances]\nnorm_drift = -1e-3", (), "tolerance norm_drift = -0.001 is negative"),
             ("", "[tolerances]\nnorm_drift = -inf", (), "tolerance norm_drift = -inf is negative"),
             ("stride = -1", "", (), "stride must be nonnegative"),
+            # a value that does not parse names its section and key
+            ("stride = 1.5", "", (), "[run] stride: invalid literal for int()"),
+            ("", "n_q = 64.5", (), "[grid] n_q: invalid literal for int()"),
+            ("", "[hamiltonian.coeffs]\n2_0 = x", (),
+             "[hamiltonian.coeffs] 2_0: could not convert string to float: 'x'"),
+            ("", "[tolerances]\nnorm_drift = abc", (),
+             "[tolerances] norm_drift: could not convert string to float: 'abc'"),
         ],
         ids=["bc", "hamiltonian", "bounds", "run-key", "grid-key", "section",
              "hbar-nan", "t-final-nan", "t-final-inf", "dt-nan", "dt-inf",
              "dt-overflow", "dt-overflow-transport", "dt-too-many-steps",
              "q-min-nan", "q-max-inf", "coeff-nan", "coeff-key", "tolerance-nan",
-             "tolerance-inf", "tolerance-negative", "tolerance-minus-inf", "stride-negative"],
+             "tolerance-inf", "tolerance-negative", "tolerance-minus-inf", "stride-negative",
+             "run-value", "grid-value", "coeff-value", "tolerance-value"],
     )
     def test_late_config_error_is_one_line_usage_error(
         self, tmp_path, capsys, run_lines, grid_lines, flags, message

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from kvhsim import cli, madelung
+from kvhsim import cli, kvh, madelung
 from kvhsim.cli import (
     RunConfig,
     RunContext,
-    _edge_content,
     apply_scenario_defaults,
     check_madelung,
     check_transport,
@@ -212,31 +211,47 @@ class TestPolarEvolution:
         assert residual(48) / residual(96) > 12.0
 
 
-def test_harmonic_reference_stays_on_the_64_grid(monkeypatch):
-    # at harmonic-kvh defaults the 64² reference's edge modes stay below the
-    # fallback's 1e-9, so the check runs the polar pair and the reference on
-    # those 64² nodes alone
-    edges = []
+def test_madelung_solves_on_the_run_grid(monkeypatch):
+    # the polar pair and the wavefunction reference both solve on the run's
+    # n_q x n_p nodes
+    shapes = []
+    evolve_polar, evolve = madelung.evolve_polar, kvh.evolve
 
-    def edge_content(values):
-        edges.append((values.shape, _edge_content(values)))
-        return edges[-1][1]
+    def spy_polar(pair, *args, **kwargs):
+        shapes.append(("polar", pair.S.values.shape, pair.D.values.shape))
+        return evolve_polar(pair, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_edge_content", edge_content)
-    cfg = apply_scenario_defaults(RunConfig(scenario="harmonic-kvh"))
+    def spy_evolve(H, psi, *args, **kwargs):
+        shapes.append(("kvh", psi.field.values.shape))
+        return evolve(H, psi, *args, **kwargs)
+
+    monkeypatch.setattr(madelung, "evolve_polar", spy_polar)
+    monkeypatch.setattr(kvh, "evolve", spy_evolve)
+    (result,) = check_madelung(RunContext(RunConfig(n_q=64, n_p=48)))
+    assert sorted(shapes) == [("kvh", (64, 48)), ("polar", (64, 48), (64, 48))]
+    assert result.passed
+
+
+def test_small_hbar_passes_on_a_stated_128_grid():
+    # at ħ = 0.25 the packet chirps past 64² nodes by t = 1; on a 128² run
+    # grid the polar pair and the reference still agree
+    cfg = apply_scenario_defaults(
+        RunConfig(scenario="harmonic-kvh", dt=2.5e-3, hbar=0.25, n_q=128, n_p=128)
+    )
     (result,) = check_madelung(RunContext(cfg))
-    assert len(edges) == 1
-    shape, edge = edges[0]
-    assert shape == (64, 64) and edge <= 1e-9
-    assert result.value <= 1e-7
+    assert result.value < 1e-6
 
 
-def test_small_hbar_solves_the_reference_on_the_polar_grid():
-    # at ħ = 0.25 the packet chirps past the 64² grid by t = 1; refined from
-    # there, the reference alone would be 6e-3 off and fail the check
-    cfg = apply_scenario_defaults(RunConfig(scenario="harmonic-kvh", dt=2.5e-3, hbar=0.25))
-    (result,) = check_madelung(RunContext(cfg))
-    assert result.value < result.tol
+def test_small_hbar_fails_on_the_default_grid(tmp_path):
+    # the same run on the default 64² grid is a failed check, exit 1 with
+    # the value in the report, not a configuration error
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nscenario = harmonic-kvh\nchecks = madelung\ndt = 2.5e-3\nhbar = 0.25\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(ini), "--outdir", str(out)]) == 1
+    report = dict(line.split(" = ") for line in (out / "report").read_text().splitlines())
+    assert report["madelung_l2.status"] == "fail"
+    assert float(report["madelung_l2"]) == pytest.approx(6.66e-3, rel=1e-2)
 
 
 def test_transport_solves_on_the_run_grid(monkeypatch):
@@ -258,7 +273,7 @@ def test_phase_alone_evolves_as_beside_the_density():
     # at the transport check's settings, S evolved without D gives the same
     # snapshots and residuals, bit for bit, as S evolved beside D
     ctx = RunContext(RunConfig())
-    pair = cli._polar_initial(ctx, 64, 64)
+    pair = cli._polar_initial(ctx)
     H = ctx.H
     times, snaps = zip(*evolve_polar(pair, H, 0.05, 2.5e-4, stride=1))
     times_s, snaps_s = zip(*evolve_polar(PolarPair(pair.S, None), H, 0.05, 2.5e-4, stride=1))
